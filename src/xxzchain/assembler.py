@@ -345,11 +345,28 @@ def enumerate_configs(s_gamma: int, regime: str, bound: int, catalog,
 
 
 def _count_vectors(nslots: int, cap: int):
+    """Non-negative count vectors of length nslots with sum <= cap.
+
+    Yields them in lexicographic order, the order of the filtered
+    ``itertools.product``, but visits only the C(nslots + cap, cap) kept
+    vectors.
+    """
     if cap < 0:
         return
-    for counts in itertools.product(range(cap + 1), repeat=nslots):
-        if sum(counts) <= cap:
-            yield counts
+    counts = [0] * nslots
+    total = 0
+    while True:
+        yield tuple(counts)
+        # zero trailing slots until one can be raised within the cap
+        i = nslots - 1
+        while i >= 0 and total >= cap:
+            total -= counts[i]
+            counts[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        counts[i] += 1
+        total += 1
 
 
 # ---------------------------------------------------------------------------

@@ -300,17 +300,21 @@ def _cmd_saddles(opts):
     saddles = []
     for key in sorted(rep.saddles):
         for i, s in enumerate(rep.saddles[key]):
-            saddles.append(
-                {
-                    "carrier": key,
-                    "index": i,
-                    "omega": complex(s.omega),
-                    "u_value": complex(s.u_value),
-                    "u_second": s.u_second,
-                    "eps_sign": s.eps_sign,
-                    "scale": s.scale,
-                }
-            )
+            row = {
+                "carrier": key,
+                "index": i,
+                "omega": complex(s.omega),
+                "u_value": s.u_value,
+                "u_second": s.u_second,
+                "eps_sign": s.eps_sign,
+                "scale": s.scale,
+            }
+            if s.u_value is None:
+                row["u_value_note"] = (
+                    "momentum display is ambiguous at hat-reduction pi/2; "
+                    "position and curvature are well defined"
+                )
+            saddles.append(row)
     return {
         "v": rep.v,
         "v_F": rep.v_F,

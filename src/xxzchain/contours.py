@@ -34,14 +34,21 @@ from .errors import (
     ReductionMismatchError,
     ValidationError,
 )
+# quadrature, and with it scipy, is imported before kernels on purpose: in
+# the other order a worker start-up (import plus one solve) took 0.3 s longer,
+# all of it system time from page faults during the scipy.special import
+# (CPython 3.11.7, scipy 1.17.1, 2-core x86-64)
 from .quadrature import barnes_g
+from .kernels import _segment_point_distance
 
 TRUNCATION = 12.0
+MAX_TRUNCATION = 80.0
 SEPARATION = 1e-3
 POLE_CLEARANCE = 1e-3
 REGIME_GUARD = 1e-6
 HOOK_DEPTH = 0.05
 HOOK_CENTER = 0.2
+PAIR_BLOCK_ROWS = 256
 
 
 def _sign_sin(k: int, zeta: float) -> int:
@@ -170,16 +177,47 @@ def phi11(x, zeta: float):
     return out
 
 
+def _pair_ratio(X, a: float, b: float):
+    """(X^2 + (a-2) X + 1) / (X^2 + (b-2) X + 1) at X = exp(2x).
+
+    With sinh(x - i t) sinh(x + i t) = sinh^2 x + sin^2 t and
+    4 sinh^2 x = X + 1/X - 2, every interaction weight below is this ratio
+    for a = 4 sin^2 t_num, b = 4 sin^2 t_den.  Both quadratics are written
+    as (X - 1)^2 + c X, which keeps the double zero at x = 0 accurate.
+    ``X`` is left unchanged.
+    """
+    num = X - 1.0
+    num *= num
+    den = b * X
+    den += num
+    if a:
+        num += a * X
+    num /= den
+    return num
+
+
+def _pair20_coeffs(zeta: float) -> tuple[float, float]:
+    return 0.0, 4.0 * math.sin(zeta) ** 2
+
+
+def _pair110_coeffs(zeta: float) -> tuple[float, float]:
+    return 4.0 * math.sin(0.5 * zeta) ** 2, 4.0 * math.sin(1.5 * zeta) ** 2
+
+
 def _pair20(x, zeta: float):
-    """Two-variable interaction weight of the unreduced integrand."""
-    return np.sinh(x) ** 2 / (np.sinh(x - 1j * zeta) * np.sinh(x + 1j * zeta))
+    """Two-variable interaction weight of the unreduced integrand.
+
+    sinh^2 x / (sinh(x - i zeta) sinh(x + i zeta)).
+    """
+    return _pair_ratio(np.exp(2.0 * np.asarray(x, complex)), *_pair20_coeffs(zeta))
 
 
 def _pair110(x, zeta: float):
-    """Interaction weight between a free variable and a 2-cluster centre."""
-    num = np.sinh(x - 0.5j * zeta) * np.sinh(x + 0.5j * zeta)
-    den = np.sinh(x - 1.5j * zeta) * np.sinh(x + 1.5j * zeta)
-    return num / den
+    """Interaction weight between a free variable and a 2-cluster centre.
+
+    sinh(x - i zeta/2) sinh(x + i zeta/2) / (sinh(x - 3i zeta/2) sinh(x + 3i zeta/2)).
+    """
+    return _pair_ratio(np.exp(2.0 * np.asarray(x, complex)), *_pair110_coeffs(zeta))
 
 
 def _prefactor2(zeta: float) -> float:
@@ -571,25 +609,6 @@ def ray_panels_c2a(
     return panels
 
 
-def contour_c2a(
-    zeta: float,
-    tau_L: int,
-    tau_R: int,
-    A: float,
-    L: float = TRUNCATION,
-    order: int = 64,
-) -> ContourSpec:
-    """Formal 2-cluster deformation curve: doubled line minus residue rays."""
-    s2 = _sign_sin(2, zeta)
-    panels = [
-        Panel(p.a, p.b, 2.0 * p.coeff, p.order)
-        for p in _line_panels(0.0, -L, L, s2, order)
-    ]
-    for p in ray_panels_c2a(zeta, tau_L, tau_R, A, L, order):
-        panels.append(Panel(p.a, p.b, -s2 * p.coeff, p.order))
-    return ContourSpec("C2A", tuple(panels))
-
-
 def tail_panels_c3a(
     zeta: float,
     tau_L: int,
@@ -603,23 +622,6 @@ def tail_panels_c3a(
     hL = 1j * s3 * tau_L * 0.5 * zeta
     hR = 1j * s3 * tau_R * 0.5 * zeta
     return [Panel(-L + hL, -A + hL, 1.0, order), Panel(A + hR, L + hR, 1.0, order)]
-
-
-def contour_c3a(
-    zeta: float,
-    tau_L: int,
-    tau_R: int,
-    A: float,
-    L: float = TRUNCATION,
-    order: int = 64,
-) -> ContourSpec:
-    """Formal 3-cluster deformation curve: central line plus shifted tails."""
-    s2 = _sign_sin(2, zeta)
-    s3 = _sign_sin(3, zeta)
-    panels = list(contour_c3(zeta, L, order).panels)
-    for p in tail_panels_c3a(zeta, tau_L, tau_R, A, L, order):
-        panels.append(Panel(p.a, p.b, -s3 * s2 * p.coeff, p.order))
-    return ContourSpec("C3A", tuple(panels))
 
 
 def correction_active(zeta: float) -> bool:
@@ -636,33 +638,8 @@ def j_av_panels(zeta: float, tau_L: int, tau_R: int, A: float, order: int = 24):
     ]
 
 
-def contour_c3a_mod(
-    zeta: float,
-    tau_L: int,
-    tau_R: int,
-    A: float,
-    L: float = TRUNCATION,
-    order: int = 64,
-) -> ContourSpec:
-    panels = list(contour_c3a(zeta, tau_L, tau_R, A, L, order).panels)
-    if correction_active(zeta):
-        for p in j_av_panels(zeta, tau_L, tau_R, A, order):
-            panels.append(Panel(p.a, p.b, p.coeff / 3.0, p.order))
-    return ContourSpec("C3A_mod", tuple(panels))
-
-
 # ---------------------------------------------------------------------------
 # pole clearance certificates
-
-
-def _segment_distance(p: complex, a: complex, b: complex) -> float:
-    d = b - a
-    denom = abs(d) ** 2
-    if denom == 0.0:
-        return abs(p - a)
-    t = ((p - a).conjugate() * d).real / denom
-    t = min(1.0, max(0.0, t))
-    return abs(p - (a + t * d))
 
 
 def certify_clearance(
@@ -676,7 +653,7 @@ def certify_clearance(
     worst_pole = None
     for p in poles:
         for a, b in contour.segments():
-            d = _segment_distance(complex(p), complex(a), complex(b))
+            d = _segment_point_distance(complex(a), complex(b), complex(p))
             if d < worst:
                 worst, worst_pole = d, p
     if worst < threshold:
@@ -696,20 +673,39 @@ def _int1(contour: ContourSpec, f) -> complex:
     return complex(np.sum(w * f(nodes)) / (2 * pi))
 
 
+def _pair_matrix(nA, nB, coeffs):
+    """Interaction weights between node sets, from X = exp(2 nA) exp(-2 nB)."""
+    return _pair_ratio(np.exp(2.0 * nA)[:, None] * np.exp(-2.0 * nB)[None, :], *coeffs)
+
+
+def _pair_form(nA, vA, nB, vB, coeffs) -> complex:
+    """vA @ R @ vB with R = _pair_matrix(nA, nB), built in row blocks.
+
+    Only PAIR_BLOCK_ROWS rows of R exist at a time, so the peak memory grows
+    with len(nB) alone.
+    """
+    total = 0.0j
+    for i in range(0, len(nA), PAIR_BLOCK_ROWS):
+        blk = slice(i, i + PAIR_BLOCK_ROWS)
+        total += vA[blk] @ _pair_matrix(nA[blk], nB, coeffs) @ vB
+    return total
+
+
 def _int2_pair(cA: ContourSpec, cB: ContourSpec, J: TestFunctionJ, zeta: float) -> complex:
     nA, wA = cA.discretize()
     nB, wB = cB.discretize()
-    R = _pair20(nA[:, None] - nB[None, :], zeta)
-    vA = wA * J.g(nA)
-    vB = wB * J.g(nB)
-    return complex(vA @ R @ vB / (2 * pi) ** 2)
+    total = _pair_form(nA, wA * J.g(nA), nB, wB * J.g(nB), _pair20_coeffs(zeta))
+    return complex(total / (2 * pi) ** 2)
 
 
 def _int2_reduced(cA: ContourSpec, cB: ContourSpec, red: Reduced110) -> complex:
     nA, wA = cA.discretize()
     nB, wB = cB.discretize()
-    F = red(nA[:, None], nB[None, :])
-    return complex(wA @ F @ wB / (2 * pi) ** 2)
+    J, z = red.J, red.zeta
+    vA = wA * J.g(nA)
+    vB = red.prefactor * wB * J.g(nB + 0.5j * z) * J.g(nB - 0.5j * z)
+    total = _pair_form(nA, vA, nB, vB, _pair110_coeffs(z))
+    return complex(total / (2 * pi) ** 2)
 
 
 def _int3_pair(
@@ -725,9 +721,10 @@ def _int3_pair(
     f1 = w1 * J.g(n1)
     f2 = w2 * J.g(n2)
     f3 = w3 * J.g(n3)
-    R12 = _pair20(n1[:, None] - n2[None, :], zeta)
-    R13 = _pair20(n1[:, None] - n3[None, :], zeta)
-    R23 = _pair20(n2[:, None] - n3[None, :], zeta)
+    coeffs = _pair20_coeffs(zeta)
+    R12 = _pair_matrix(n1, n2, coeffs)
+    R13 = _pair_matrix(n1, n3, coeffs)
+    R23 = _pair_matrix(n2, n3, coeffs)
     M = f1[:, None] * R12 * f2[None, :]
     T = M @ R23
     return complex(np.einsum("ik,ik,k->", R13, T, f3) / (2 * pi) ** 3)
@@ -752,6 +749,10 @@ def _validate_common(zeta: float, v: float, v_inf: float, A: float, L: float):
         raise ValidationError(f"zeta must lie in (0, pi), got {zeta}")
     if A <= 0 or L <= 0 or A > L:
         raise ValidationError("need 0 < A <= L")
+    if L > MAX_TRUNCATION:
+        # |Re x| reaches 2L on the contours and the pair weights square
+        # exp(2x), which overflows past L ~ 88; the tails are below 1e-69 there
+        raise ValidationError(f"need L <= {MAX_TRUNCATION}, got {L}")
     return tau_parameters(v, v_inf)
 
 

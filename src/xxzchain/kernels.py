@@ -155,9 +155,12 @@ def string_combinatorics(r: int, zeta: float) -> StringCombinatorics:
 
 
 def _segment_point_distance(a: complex, b: complex, p: complex) -> float:
-    """Distance from point p to the straight segment [a, b]."""
+    """Distance from point p to the straight segment [a, b] (a point if a == b)."""
     ab = b - a
-    t = ((p - a) * np.conj(ab)).real / abs(ab) ** 2
+    denom = abs(ab) ** 2
+    if denom == 0.0:
+        return abs(p - a)
+    t = ((p - a) * ab.conjugate()).real / denom
     t = min(1.0, max(0.0, t))
     return abs(a + t * ab - p)
 

@@ -39,7 +39,7 @@ class SaddlePoint:
 
     r: int
     omega: complex
-    u_value: complex
+    u_value: complex | None
     u_second: float
     eps_sign: int
     scale: float
@@ -162,7 +162,7 @@ def _make_saddle(ds: DressedSet, species: int, r: int, x: float, v: float,
     except ValidationError:
         # the momentum display is ambiguous exactly at hat-reduction pi/2;
         # position and curvature are still well defined there
-        uval = complex(math.nan, math.nan)
+        uval = None
     return SaddlePoint(
         r=species, omega=omega, u_value=uval, u_second=upp,
         eps_sign=eps_sign, scale=scale,

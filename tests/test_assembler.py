@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 from math import pi
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from xxzchain.assembler import (
     AsymptoticTerm,
     RapiditySet,
+    _count_vectors,
     assemble_term,
     conformal_exponent,
     conformal_rapidity_set,
@@ -197,6 +200,26 @@ class TestEnumerate:
             enumerate_configs(0, "conformal", 0, [])
         with pytest.raises(ValidationError):
             enumerate_configs(0, "general", 1, [], None)
+
+
+class TestCountVectors:
+    @pytest.mark.parametrize("nslots", range(6))
+    def test_matches_filtered_product(self, nslots):
+        for cap in range(-1, 4):
+            want = [
+                c for c in itertools.product(range(cap + 1), repeat=nslots)
+                if sum(c) <= cap
+            ]
+            assert list(_count_vectors(nslots, cap)) == want
+
+    def test_many_slots_bounded(self):
+        # 19 slots at cap 2: C(21, 2) = 210 vectors, where the product walk
+        # would visit 3^19 ~ 1.2e9
+        t0 = time.perf_counter()
+        got = list(_count_vectors(19, 2))
+        assert time.perf_counter() - t0 < 1.0
+        assert len(got) == 210 == math.comb(21, 2)
+        assert len(set(got)) == 210 and all(sum(c) <= 2 for c in got)
 
 
 class TestAssemble:

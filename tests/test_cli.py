@@ -150,6 +150,30 @@ class TestSaddlesExponents:
         assert data["minimal"] is True
         assert {s["carrier"] for s in data["saddles"]} == {0, 1, 2, 3}
 
+    def test_ambiguous_momentum_emits_null(self, capsys, cache_dir):
+        # at zeta = pi/2 the r = 1 saddle on Im = pi/2 sits at hat-reduction
+        # pi/2, where u has no single value; the saddle is still reported
+        code, out, _ = _run(
+            capsys,
+            [
+                "saddles", "--zeta", "0.5pi", "--h", "2", "--v", "2.0",
+                "--rmax", "1", "--cache-dir", cache_dir,
+            ],
+        )
+        assert code == 0
+        assert "nan" not in out.lower()
+
+        def reject(const):
+            raise AssertionError(f"non-finite {const} in output")
+
+        data = json.loads(out, parse_constant=reject)
+        ambiguous = [s for s in data["saddles"] if s["u_value"] is None]
+        assert [s["carrier"] for s in ambiguous] == [1]
+        assert "u_value_note" in ambiguous[0]
+        assert all(
+            "u_value_note" not in s for s in data["saddles"] if s["u_value"] is not None
+        )
+
     def test_guard_band_velocity(self, capsys, cache_dir):
         code, _, err = _run(
             capsys,

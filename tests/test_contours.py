@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from math import pi
 
 import numpy as np
@@ -16,6 +17,7 @@ from xxzchain.contours import (
     TestFunctionJ,
     certify_clearance,
     contour_c1,
+    contour_c1a,
     contour_c2,
     contour_c3,
     correction_active,
@@ -150,6 +152,75 @@ class TestReductions:
             reduce_residue(TestFunctionJ(2, (2.0 + 1.5j,)), (2, 0), 0.35 * pi)
 
 
+def _sinh_pair20(x, zeta):
+    return np.sinh(x) ** 2 / (np.sinh(x - 1j * zeta) * np.sinh(x + 1j * zeta))
+
+
+def _sinh_pair110(x, zeta):
+    num = np.sinh(x - 0.5j * zeta) * np.sinh(x + 0.5j * zeta)
+    den = np.sinh(x - 1.5j * zeta) * np.sinh(x + 1.5j * zeta)
+    return num / den
+
+
+class TestPairKernels:
+    @pytest.mark.parametrize("zeta", [0.2 * pi, 0.35 * pi, 0.65 * pi])
+    def test_rational_form_matches_sinh_form(self, zeta):
+        rng = np.random.default_rng(11)
+        re = rng.uniform(-24.0, 24.0, 400)
+        im = np.concatenate(
+            [rng.uniform(-pi / 2, pi / 2, 200), np.full(100, pi / 2), np.full(100, -pi / 2)]
+        )
+        x = np.concatenate([re + 1j * im, [24.0 + 0.5j * pi, -24.0 - 0.5j * pi]])
+        for pair, sinh_form, coeffs in (
+            (contours._pair20, _sinh_pair20, contours._pair20_coeffs),
+            (contours._pair110, _sinh_pair110, contours._pair110_coeffs),
+        ):
+            want = sinh_form(x, zeta)
+            for got in (
+                pair(x, zeta),
+                contours._pair_ratio(np.exp(2.0 * x), *coeffs(zeta)),
+            ):
+                assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+    @pytest.mark.parametrize("reduced", [False, True], ids=["pair20", "pair110"])
+    def test_blocked_sum_matches_dense(self, reduced):
+        # more than one block, and a last block shorter than the others
+        zeta = 0.35 * pi
+        cA = contour_c1(zeta, L=4.0, order=24)
+        cB = contour_c1a(zeta, 1, -1, 4.0, order=24, inset=0.01)
+        nA, wA = cA.discretize()
+        nB, wB = cB.discretize()
+        block = contours.PAIR_BLOCK_ROWS
+        assert len(nA) > block and len(nA) % block != 0
+        x = nA[:, None] - nB[None, :]
+        if reduced:
+            J = TestFunctionJ(3, (1.8 - 1.2j,))
+            red = Reduced110(J, zeta)
+            got = contours._int2_reduced(cA, cB, red)
+            F = (
+                red.prefactor
+                * _sinh_pair110(x, zeta)
+                * J.g(nA)[:, None]
+                * (J.g(nB + 0.5j * zeta) * J.g(nB - 0.5j * zeta))[None, :]
+            )
+            want = wA @ F @ wB / (2 * pi) ** 2
+        else:
+            J = TestFunctionJ(2, (2.0 + 1.5j,))
+            got = contours._int2_pair(cA, cB, J, zeta)
+            want = (wA * J.g(nA)) @ _sinh_pair20(x, zeta) @ (wB * J.g(nB)) / (2 * pi) ** 2
+        assert abs(got - want) < 1e-13 * abs(want)
+
+    def test_n2_peak_memory_bounded(self):
+        J = TestFunctionJ(2, (2.0 + 1.5j,), label="w1")
+        tracemalloc.start()
+        try:
+            eval_identity_n2(J, 0.5, 0.35 * pi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
 class TestIdentityN2:
     @pytest.mark.parametrize("v", [1.5, 0.5, -0.5])
     @pytest.mark.parametrize("zeta", [0.35 * pi, 0.65 * pi])
@@ -203,6 +274,12 @@ class TestIdentityN2:
             eval_identity_n2(J, 0.0, 0.35 * pi)
         with pytest.raises(ValidationError):
             eval_identity_n2(J, 1.0 + 1e-9, 0.35 * pi)
+
+    def test_truncation_guard(self):
+        # the pair weights would overflow to NaN on contours this long
+        J = TestFunctionJ(2, (2.0 + 1.5j,))
+        with pytest.raises(ValidationError):
+            eval_identity_n2(J, 1.5, 0.35 * pi, L=contours.MAX_TRUNCATION + 10.0)
 
     def test_degenerate_anisotropy(self):
         with pytest.raises(DegenerateAnisotropyError):
