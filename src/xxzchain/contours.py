@@ -20,13 +20,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import pi
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     DegenerateAnisotropyError,
@@ -38,7 +36,7 @@ from .errors import (
 # the other order a worker start-up (import plus one solve) took 0.3 s longer,
 # all of it system time from page faults during the scipy.special import
 # (CPython 3.11.7, scipy 1.17.1, 2-core x86-64)
-from .quadrature import barnes_g
+from .quadrature import _legendre_rule, barnes_g
 from .kernels import _segment_point_distance
 
 TRUNCATION = 12.0
@@ -421,7 +419,7 @@ class ContourSpec:
     def discretize(self):
         nodes, weights = [], []
         for p in self.panels:
-            x, w = _leggauss_cached(p.order)
+            x, w = _legendre_rule(p.order)
             mid = 0.5 * (p.a + p.b)
             half = 0.5 * (p.b - p.a)
             nodes.append(mid + half * x)
@@ -430,12 +428,6 @@ class ContourSpec:
 
     def segments(self):
         return [(p.a, p.b) for p in self.panels]
-
-
-@lru_cache(maxsize=None)
-def _leggauss_cached(order: int):
-    x, w = leggauss(order)
-    return x, w
 
 
 def _line_panels(

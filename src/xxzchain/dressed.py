@@ -176,6 +176,7 @@ class DressedSet:
 
         self._phase_cache: dict = {}
         self._theta_seg1_cache: dict = {}
+        self._line_cache: dict = {}  # saddles: v-independent carrier-line curves
         self.p_F = self._compute_p1(q)
 
         # positivity checks demanded of every solved set

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,13 +54,22 @@ class Quadrature:
         return np.sum(self.weights * f(self.nodes))
 
 
+@lru_cache(maxsize=None)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
+    x, w = roots_legendre(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(order: int, a: float = -1.0, b: float = 1.0) -> Quadrature:
     """Gauss-Legendre rule with `order` points mapped to (a, b)."""
     if order < 2:
         raise ValidationError(f"order must be >= 2, got {order}")
     if not (a < b):
         raise ValidationError(f"need a < b, got a={a}, b={b}")
-    x, w = roots_legendre(order)
+    x, w = _legendre_rule(order)
     half = 0.5 * (b - a)
     return Quadrature(
         order=order,
@@ -214,7 +224,7 @@ class Polyline:
 
 def integrate_segment(f: Callable, a: complex, b: complex, order: int = 32) -> complex:
     """Gauss-Legendre integral of f along the straight segment [a, b]."""
-    x, w = roots_legendre(order)
+    x, w = _legendre_rule(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     pts = mid + half * x
     vals = np.asarray(f(pts))

@@ -22,7 +22,7 @@ from .errors import (
     SignInconsistencyError,
     ValidationError,
 )
-from .quadrature import find_root_bracketed
+from .quadrature import _legendre_rule, find_root_bracketed
 from .strings import string_exists
 
 SCAN_HALF_WIDTH = 15.0
@@ -131,10 +131,34 @@ def _guard_velocity(v: float, ds: DressedSet, vinf: float | None = None) -> floa
     return vinf
 
 
+def _line_curves(ds: DressedSet, r: int, line_im: float):
+    """(grid, p_r', eps_r') on the scan grid of one carrier line, once per set.
+
+    Neither derivative depends on v, so every scan of the line reads them
+    from a memo that lives and dies with `ds`. The arrays are shared and
+    therefore read-only.
+    """
+    key = (r, line_im)
+    hit = ds._line_cache.get(key)
+    if hit is None:
+        grid = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)
+        lam = grid + 1j * line_im
+        hit = (grid, np.asarray(ds.p_r_d1(lam, r)), np.asarray(ds.eps_r_d1(lam, r)))
+        for arr in hit:
+            arr.flags.writeable = False
+        ds._line_cache[key] = hit
+    return hit
+
+
+def _scan(ds: DressedSet, r: int, v: float, line_im: float):
+    """Scan grid and Re u_r' on it: the expression u_r_d1 evaluates, bit for bit."""
+    grid, pd1, ed1 = _line_curves(ds, r, line_im)
+    return grid, np.real(pd1 - ed1 / v)
+
+
 def _line_zeros(ds: DressedSet, r: int, v: float, line_im: float) -> list[float]:
     """Real parts of the zeros of u_r' on the line Im(lam) = line_im."""
-    grid = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)
-    vals = np.real(u_r_d1(grid + 1j * line_im, v, r, ds))
+    grid, vals = _scan(ds, r, v, line_im)
     zeros = []
     sign = np.sign(vals)
     for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
@@ -188,8 +212,7 @@ def find_saddles(r: int, v: float, ds: DressedSet) -> list[SaddlePoint]:
 
 
 def _count_zeros(ds: DressedSet, r: int, v: float, line_im: float) -> int:
-    grid = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)
-    vals = np.real(u_r_d1(grid + 1j * line_im, v, r, ds))
+    _, vals = _scan(ds, r, v, line_im)
     sign = np.sign(vals)
     return int(np.count_nonzero(sign[:-1] * sign[1:] < 0))
 
@@ -292,8 +315,8 @@ def sign_im_u_at_infinity(r: int, v: float, y: float, side: int,
     species = max(r, 1)
     tail = 0.0 + 0.0j
     edges = [x0, x0 + 3, x0 + 8, x0 + 15, x0 + 25]
+    nodes, wts = _legendre_rule(32)
     for a, b in zip(edges, edges[1:]):
-        nodes, wts = np.polynomial.legendre.leggauss(32)
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         pts = side * (mid + half * nodes) + 1j * y
         vals = np.asarray(u_r_d1(pts, v, species, ds))

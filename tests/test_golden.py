@@ -1,0 +1,62 @@
+"""Golden regression of `xxz exponents` and `xxz saddles` at two space-like points.
+
+The files under tests/data/golden are the stdout of the code before the
+saddle scans were hoisted out of the velocity loop. Counts, row order and
+integer fields must match exactly; floats must agree to 1e-12 relative
+(complex pairs by modulus).
+"""
+import json
+from pathlib import Path
+
+import pytest
+
+from xxzchain.cli import run
+
+DATA = Path(__file__).parent / "data" / "golden"
+REL = 1e-12
+
+# v = v_F + 0.5 (v_inf - v_F) at order 32, as printed by `xxz solve`
+POINTS = {
+    "0.4204pi": ["--q", "0.45", "--v", "4.013679514704407"],
+    "0.7295pi": ["--q", "0.3", "--v", "1.7766875744773518"],
+}
+COMMON = ["--order", "32", "--rmax", "2"]
+EXTRA = {"exponents": ["--bound", "2"], "saddles": []}
+
+INT_KEYS = {
+    "ell_plus", "ell_minus", "n0", "n1", "strings", "s_gamma",
+    "counts", "n_sp", "carrier", "index", "eps_sign", "minimal",
+}
+COMPLEX_KEYS = {"omega", "u_value", "C_n"}
+
+
+def _assert_match(got, want, path="$", exact=False):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), path
+        for key in want:
+            sub = f"{path}.{key}"
+            if key in COMPLEX_KEYS and want[key] is not None:
+                assert len(got[key]) == len(want[key]) == 2, sub
+                g, w = complex(*got[key]), complex(*want[key])
+                assert abs(g - w) <= REL * abs(w), (sub, got[key], want[key])
+            else:
+                _assert_match(got[key], want[key], sub, exact or key in INT_KEYS)
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_match(g, w, f"{path}[{i}]", exact)
+    elif exact or isinstance(want, (bool, str)) or want is None:
+        assert type(got) is type(want) and got == want, (path, got, want)
+    else:
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), path
+        assert abs(got - want) <= REL * abs(want), (path, got, want)
+
+
+@pytest.mark.parametrize("command", ["exponents", "saddles"])
+@pytest.mark.parametrize("zeta", sorted(POINTS))
+def test_matches_golden(command, zeta, tmp_path, capsys):
+    argv = [command, "--zeta", zeta] + POINTS[zeta] + COMMON + EXTRA[command]
+    assert run(argv + ["--cache-dir", str(tmp_path)]) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((DATA / f"{command}_zeta{zeta}.json").read_text())
+    _assert_match(got, want)

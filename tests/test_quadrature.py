@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_legendre
 
 from xxzchain.errors import BracketError, SolverError, ValidationError
 from xxzchain.quadrature import (
     Polyline,
+    _legendre_rule,
     barnes_g,
     find_root_bracketed,
     gauss_legendre,
@@ -45,6 +47,23 @@ class TestGaussLegendre:
             gauss_legendre(1, -1, 1)
         with pytest.raises(ValidationError):
             gauss_legendre(4, 1, 1)
+
+    def test_cached_rule_gives_fresh_mapped_arrays(self):
+        x, w = roots_legendre(128)
+        rules = [gauss_legendre(128, a, b) for a, b in ((-1.0, 2.0), (0.5, 7.0))]
+        assert not np.shares_memory(rules[0].nodes, rules[1].nodes)
+        for q in rules:
+            a, b = q.interval
+            half = 0.5 * (b - a)
+            assert np.array_equal(q.nodes, 0.5 * (a + b) + half * x)
+            assert np.array_equal(q.weights, half * w)
+            assert q.nodes.flags.writeable
+
+    def test_cached_rule_read_only(self):
+        x, w = _legendre_rule(128)
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     @given(st.integers(min_value=2, max_value=40))
     @settings(max_examples=20, deadline=None)

@@ -1,10 +1,13 @@
+import gc
 import math
+import weakref
 from math import pi
 
 import numpy as np
 import pytest
 
-from xxzchain.dressed import ModelParams, solve_dressed_set
+import xxzchain.saddles as saddles
+from xxzchain.dressed import DressedSet, ModelParams, solve_dressed_set
 from xxzchain.errors import (
     InvalidStringError,
     NearCriticalError,
@@ -20,6 +23,7 @@ from xxzchain.saddles import (
     u_r_d1,
     v_infinity,
 )
+from xxzchain.strings import string_exists
 
 
 @pytest.fixture(scope="module")
@@ -216,3 +220,62 @@ class TestSignAtInfinity:
             sign_im_u_at_infinity(1, 1.0, 1.7, 1, ds)
         with pytest.raises(ValidationError):
             sign_im_u_at_infinity(1, 1.0, 0.3, 2, ds)
+
+
+class TestCarrierLineMemo:
+    """p_r' and eps_r' on the scan grid are computed once per set and line."""
+
+    @staticmethod
+    def _lines(ds):
+        return [(1, 0.0), (1, pi / 2), (2, string_exists(2, ds.zeta).line_im)]
+
+    @staticmethod
+    def _fresh():
+        return solve_dressed_set(ModelParams(J=1.0, zeta=0.5365 * pi, q=0.2, order=32))
+
+    def test_scan_equals_u_r_d1(self, sets):
+        ds = sets[(0.5365, 0.2)]
+        vinf = v_infinity(ds)
+        for r, line_im in self._lines(ds):
+            for v in (0.3 * vinf, 0.8 * vinf, 1.3 * vinf, -0.8 * vinf):
+                grid, vals = saddles._scan(ds, r, v, line_im)
+                want = np.real(u_r_d1(grid + 1j * line_im, v, r, ds))
+                assert np.array_equal(vals, want), (r, line_im, v / vinf)
+
+    def test_one_grid_evaluation_per_line(self, monkeypatch):
+        ds = self._fresh()
+        calls = []
+        for name in ("p_r_d1", "eps_r_d1"):
+            method = getattr(DressedSet, name)
+
+            def counted(self, lam, r=1, _name=name, _method=method):
+                if np.size(lam) == saddles.SCAN_POINTS:
+                    calls.append((_name, r))
+                return _method(self, lam, r)
+
+            monkeypatch.setattr(DressedSet, name, counted)
+        vinf = v_infinity(ds)
+        classify_structure(0.6 * vinf, ds, r_max=2)
+        assert sorted(calls) == sorted(
+            [("p_r_d1", 1), ("p_r_d1", 1), ("p_r_d1", 2),
+             ("eps_r_d1", 1), ("eps_r_d1", 1), ("eps_r_d1", 2)]
+        )
+        calls.clear()
+        classify_structure(0.7 * vinf, ds, r_max=2)
+        assert calls == []
+
+    def test_memo_dies_with_set(self):
+        ds = self._fresh()
+        classify_structure(0.6 * v_infinity(ds), ds, r_max=2)
+        assert len(ds._line_cache) == 3
+        ref = weakref.ref(ds)
+        del ds
+        gc.collect()
+        assert ref() is None
+
+    def test_memo_read_only(self, sets):
+        ds = sets[(0.5365, 0.2)]
+        for r, line_im in self._lines(ds):
+            for arr in saddles._line_curves(ds, r, line_im):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
