@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: solve | strings | velocities | saddles | exponents | verify |
-cache.  Output is deterministic JSON (default) or CSV with all floats at 17
+Subcommands: solve | strings | velocities | saddles | exponents | verify.
+Output is deterministic JSON (default) or CSV with all floats at 17
 significant digits.  Validation problems exit with code 2, numerical
 failures with code 3; both write a machine-readable JSON error record to
 standard error.
@@ -18,7 +18,6 @@ from math import pi
 
 from . import contours
 from .assembler import assemble_term, enumerate_configs, rank_terms
-from .cache import SolveCache, default_cache_dir
 from .dressed import ModelParams, magnetization_density, solve_dressed_set
 from .errors import NumericalError, ValidationError, XXZError
 from .saddles import classify_structure, fermi_velocity, v_infinity
@@ -37,7 +36,7 @@ DEFAULTS = {
 
 _CONFIG_KEYS = {
     "zeta", "q", "h", "J", "v", "rmax", "bound", "order",
-    "out", "format", "cache_dir", "suite", "spin",
+    "out", "format", "suite", "spin",
 }
 
 
@@ -203,15 +202,12 @@ def _build_parser() -> _Parser:
     common.add_argument("--out")
     common.add_argument("--format", choices=("csv", "json"))
     common.add_argument("--config")
-    common.add_argument("--cache-dir", dest="cache_dir")
     common.add_argument("--suite", choices=("quick", "full"))
 
     parser = _Parser(prog="xxz", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
     for name in ("solve", "strings", "velocities", "saddles", "exponents", "verify"):
         sub.add_parser(name, parents=[common])
-    cache_p = sub.add_parser("cache", parents=[common])
-    cache_p.add_argument("action", choices=("list", "clear"))
     return parser
 
 
@@ -237,12 +233,8 @@ def _model_params(opts) -> ModelParams:
     )
 
 
-def _cache(opts) -> SolveCache:
-    return SolveCache(opts.get("cache_dir"))
-
-
 def _solved(opts):
-    return solve_dressed_set(_model_params(opts), cache=_cache(opts))
+    return solve_dressed_set(_model_params(opts))
 
 
 def _cmd_solve(opts):
@@ -395,13 +387,6 @@ def _cmd_verify(opts):
     return rows, 0
 
 
-def _cmd_cache(opts, action: str):
-    cache = _cache(opts)
-    if action == "list":
-        return {"dir": str(cache.dir), "entries": cache.list()}
-    return {"dir": str(cache.dir), "removed": cache.clear()}
-
-
 def run(argv) -> int:
     """Parse argv, dispatch, and return the process exit code."""
     parser = _build_parser()
@@ -421,10 +406,8 @@ def run(argv) -> int:
             payload = _cmd_saddles(opts)
         elif args.subcommand == "exponents":
             payload = _cmd_exponents(opts)
-        elif args.subcommand == "verify":
-            payload, code = _cmd_verify(opts)
         else:
-            payload = _cmd_cache(opts, args.action)
+            payload, code = _cmd_verify(opts)
         _emit(payload, opts)
         return code
     except ValidationError as exc:

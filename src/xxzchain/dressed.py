@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import cos, floor, pi, sin
+from math import cos, pi, sin
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .cache import SolveCache
 from .errors import (
     BracketError,
     ConsistencyError,
@@ -76,7 +75,7 @@ def _im_dist_to_lines(im: float, etas) -> float:
     """Distance of an imaginary part to the lines {+-eta_hat + pi k}."""
     best = math.inf
     for eta in etas:
-        ehat = eta - pi * floor(eta / pi)
+        ehat = w_hat(eta)
         for s in (1.0, -1.0):
             d = im - s * ehat
             d = abs(d - pi * round(d / pi))
@@ -137,9 +136,8 @@ def _endpoint_value(disc: _Discretization, values, driving_at_q) -> float:
 class DressedSet:
     """Solved dressed quantities at fixed (J, zeta, q, h, order)."""
 
-    def __init__(self, params: ModelParams, cache: SolveCache | None = None):
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.cache = cache
         J, zeta, order = params.J, params.zeta, params.order
         c = 4 * pi * J * sin(zeta)
 
@@ -414,24 +412,6 @@ class DressedSet:
                 + sc.m_r / 2
             )
 
-        ckey = None
-        if self.cache is not None:
-            ckey = SolveCache.key(
-                "dressed-phase",
-                zeta=self.zeta,
-                q=self.q,
-                J=self.J,
-                order=self.order,
-                r=r,
-                mu=mu,
-            )
-            hit = self.cache.load(ckey)
-            if hit is not None:
-                _, _, _, values = hit
-                gf = self._phase_grid_function(values, r, mu)
-                self._phase_cache[key] = gf
-                return gf
-
         if np.iscomplexobj(driving_vals) and np.max(np.abs(driving_vals.imag)) > 0:
             values = self.disc.solve(driving_vals.real) + 1j * self.disc.solve(
                 driving_vals.imag
@@ -441,14 +421,6 @@ class DressedSet:
 
         gf = self._phase_grid_function(values, r, mu)
         self._phase_cache[key] = gf
-        if self.cache is not None:
-            self.cache.store(
-                ckey,
-                {"kind": "dressed-phase", "r": r, "order": self.order},
-                self.quad.nodes,
-                self.quad.weights,
-                values,
-            )
         return gf
 
     def _phase_grid_function(self, values, r, mu) -> GridFunction:
@@ -484,8 +456,8 @@ class DressedSet:
         return d1
 
 
-def solve_dressed_set(params: ModelParams, cache: SolveCache | None = None) -> DressedSet:
-    return DressedSet(params, cache=cache)
+def solve_dressed_set(params: ModelParams) -> DressedSet:
+    return DressedSet(params)
 
 
 def solve_dressed_energy(params: ModelParams, Q: float) -> GridFunction:
@@ -500,11 +472,6 @@ def solve_dressed_energy(params: ModelParams, Q: float) -> GridFunction:
     driving = lambda l: h - c * kernel_k(l, zeta / 2)
     vals = disc.solve(np.asarray(driving(disc.quad.nodes), dtype=float))
     return disc.grid_function(vals, driving, "dressed-energy")
-
-
-def find_fermi_endpoint(params: ModelParams, cache: SolveCache | None = None) -> DressedSet:
-    """Resolve the Fermi endpoint (either input mode) and return the solved set."""
-    return DressedSet(params, cache=cache)
 
 
 def _require_string(ds: DressedSet, r: int):

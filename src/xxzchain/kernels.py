@@ -27,8 +27,8 @@ POLE_SHIFT = 1e-6
 _SUBTRACT_WINDOW = 0.6
 
 
-def _eta_hat(eta: float) -> float:
-    """Reduce eta mod pi into [0, pi); K(.|eta) only depends on this."""
+def w_hat(eta: float) -> float:
+    """Hat reduction of an angle mod pi into [0, pi); K(.|eta) only depends on this."""
     return eta - pi * floor(eta / pi)
 
 
@@ -46,7 +46,7 @@ def _pole_distance(lam, eta_hat: float):
 
 def kernel_k(lam, eta: float):
     """The kernel K(lam|eta); i pi periodic and even in lam."""
-    ehat = _eta_hat(eta)
+    ehat = w_hat(eta)
     lam = np.asarray(lam)
     s2 = sin(2 * eta)
     if abs(s2) < _ETA_ZERO_TOL:
@@ -63,7 +63,7 @@ def kernel_k_d1(lam, eta: float):
     s2 = sin(2 * eta)
     if abs(s2) < _ETA_ZERO_TOL:
         return np.zeros(lam.shape) if lam.shape else 0.0
-    if np.min(_pole_distance(lam, _eta_hat(eta))) < POLE_ERROR_DIST:
+    if np.min(_pole_distance(lam, w_hat(eta))) < POLE_ERROR_DIST:
         raise PoleProximityError("kernel_k_d1 sampled at a pole")
     d = np.cosh(2 * lam) - np.cos(2 * eta)
     return -2 * s2 * np.sinh(2 * lam) / (pi * d * d)
@@ -75,7 +75,7 @@ def kernel_k_d2(lam, eta: float):
     s2 = sin(2 * eta)
     if abs(s2) < _ETA_ZERO_TOL:
         return np.zeros(lam.shape) if lam.shape else 0.0
-    if np.min(_pole_distance(lam, _eta_hat(eta))) < POLE_ERROR_DIST:
+    if np.min(_pole_distance(lam, w_hat(eta))) < POLE_ERROR_DIST:
         raise PoleProximityError("kernel_k_d2 sampled at a pole")
     d = np.cosh(2 * lam) - np.cos(2 * eta)
     sh = np.sinh(2 * lam)
@@ -85,19 +85,6 @@ def kernel_k_d2(lam, eta: float):
 def kernel_kr(lam, r: int, zeta: float):
     """Bound-state kernel K_r; for r = 1 the eta = 0 summand vanishes."""
     return kernel_k(lam, zeta * (r + 1) / 2) + kernel_k(lam, zeta * (r - 1) / 2)
-
-
-def kernel_kr_d1(lam, r: int, zeta: float):
-    return kernel_k_d1(lam, zeta * (r + 1) / 2) + kernel_k_d1(lam, zeta * (r - 1) / 2)
-
-
-def kernel_kr_d2(lam, r: int, zeta: float):
-    return kernel_k_d2(lam, zeta * (r + 1) / 2) + kernel_k_d2(lam, zeta * (r - 1) / 2)
-
-
-def w_hat(eta: float) -> float:
-    """Hat reduction of an angle mod pi into [0, pi)."""
-    return eta - pi * floor(eta / pi)
 
 
 @dataclass(frozen=True)
@@ -189,7 +176,7 @@ def _phase_segment(a: complex, b: complex, eta: float, order: int, shift: float)
     displaced by -shift) and restored through the principal-branch log of the
     endpoint ratio; the smooth remainder is integrated by Gauss-Legendre.
     """
-    ehat = _eta_hat(eta)
+    ehat = w_hat(eta)
     if abs(sin(2 * eta)) < _ETA_ZERO_TOL:
         return 0.0
     near = _poles_near_segment(a, b, ehat, _SUBTRACT_WINDOW)
@@ -230,7 +217,7 @@ def bare_phase_1(lam, eta: float, order: int = 64, richardson: bool = False):
     On the real axis this reduces to 2 arctan(tanh(lam) cot(eta_hat)); off the
     axis the two-segment path is integrated with pole-aware quadrature.
     """
-    ehat = _eta_hat(eta)
+    ehat = w_hat(eta)
     lam_arr = np.asarray(lam, dtype=complex)
     scalar = lam_arr.ndim == 0
     pts = np.atleast_1d(lam_arr)

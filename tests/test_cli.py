@@ -9,11 +9,6 @@ from xxzchain.cli import parse_angle, run
 from xxzchain.errors import ValidationError
 
 
-@pytest.fixture(scope="module")
-def cache_dir(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("cache"))
-
-
 def _run(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
@@ -48,21 +43,21 @@ class TestParsing:
 
 
 class TestSolve:
-    def test_payload_fields(self, capsys, cache_dir):
+    def test_payload_fields(self, capsys):
         code, out, _ = _run(
             capsys,
-            ["solve", "--zeta", "0.5365pi", "--q", "0.2", "--cache-dir", cache_dir],
+            ["solve", "--zeta", "0.5365pi", "--q", "0.2"],
         )
         assert code == 0
         data = json.loads(out)
         assert set(data) == {"J", "zeta", "q", "h", "p_F", "v_F", "v_inf", "Z_q", "D"}
         assert data["v_F"] < data["v_inf"]
 
-    def test_free_fermion_values(self, capsys, cache_dir):
+    def test_free_fermion_values(self, capsys):
         with pytest.warns(UserWarning):
             code, out, _ = _run(
                 capsys,
-                ["solve", "--zeta", "0.5pi", "--h", "2.0", "--cache-dir", cache_dir],
+                ["solve", "--zeta", "0.5pi", "--h", "2.0"],
             )
         assert code == 0
         data = json.loads(out)
@@ -70,23 +65,22 @@ class TestSolve:
         assert abs(data["p_F"] - pi / 3) < 1e-8
         assert abs(data["Z_q"] - 1.0) < 1e-8
 
-    def test_byte_determinism(self, tmp_path, cache_dir, capsys):
+    def test_byte_determinism(self, tmp_path, capsys):
         paths = [str(tmp_path / f"out{i}.json") for i in (1, 2)]
         for p in paths:
             code = run(
                 [
-                    "solve", "--zeta", "0.5365pi", "--q", "0.2",
-                    "--cache-dir", cache_dir, "--out", p,
+                    "solve", "--zeta", "0.5365pi", "--q", "0.2", "--out", p,
                 ]
             )
             assert code == 0
         capsys.readouterr()
         assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
 
-    def test_seventeen_digits(self, capsys, cache_dir):
+    def test_seventeen_digits(self, capsys):
         _, out, _ = _run(
             capsys,
-            ["solve", "--zeta", "0.5365pi", "--q", "0.2", "--cache-dir", cache_dir],
+            ["solve", "--zeta", "0.5365pi", "--q", "0.2"],
         )
         # q is exactly representable text at 17 significant digits
         assert '"q": 0.20000000000000001' in out
@@ -137,12 +131,12 @@ class TestConfigFile:
 
 
 class TestSaddlesExponents:
-    def test_saddles_payload(self, capsys, cache_dir):
+    def test_saddles_payload(self, capsys):
         code, out, _ = _run(
             capsys,
             [
                 "saddles", "--zeta", "0.5365pi", "--q", "0.2",
-                "--v", "0.6", "--rmax", "3", "--cache-dir", cache_dir,
+                "--v", "0.6", "--rmax", "3",
             ],
         )
         assert code == 0
@@ -150,14 +144,14 @@ class TestSaddlesExponents:
         assert data["minimal"] is True
         assert {s["carrier"] for s in data["saddles"]} == {0, 1, 2, 3}
 
-    def test_ambiguous_momentum_emits_null(self, capsys, cache_dir):
+    def test_ambiguous_momentum_emits_null(self, capsys):
         # at zeta = pi/2 the r = 1 saddle on Im = pi/2 sits at hat-reduction
         # pi/2, where u has no single value; the saddle is still reported
         code, out, _ = _run(
             capsys,
             [
                 "saddles", "--zeta", "0.5pi", "--h", "2", "--v", "2.0",
-                "--rmax", "1", "--cache-dir", cache_dir,
+                "--rmax", "1",
             ],
         )
         assert code == 0
@@ -174,25 +168,23 @@ class TestSaddlesExponents:
             "u_value_note" not in s for s in data["saddles"] if s["u_value"] is not None
         )
 
-    def test_guard_band_velocity(self, capsys, cache_dir):
+    def test_guard_band_velocity(self, capsys):
         code, _, err = _run(
             capsys,
             [
                 "saddles", "--zeta", "0.5365pi", "--q", "0.2",
                 "--v", "1.3459127348243545", "--rmax", "2",
-                "--cache-dir", cache_dir,
             ],
         )
         assert code == 2
         assert json.loads(err)["error"] == "near-critical"
 
-    def test_exponents_ranked(self, capsys, cache_dir):
+    def test_exponents_ranked(self, capsys):
         code, out, _ = _run(
             capsys,
             [
                 "exponents", "--zeta", "0.5365pi", "--q", "0.2",
                 "--v", "0.6", "--rmax", "3", "--bound", "1",
-                "--cache-dir", cache_dir,
             ],
         )
         assert code == 0
@@ -201,25 +193,40 @@ class TestSaddlesExponents:
         assert exps == sorted(exps)
         assert rows[0]["total_exponent"] == 0
 
-    def test_missing_velocity(self, capsys, cache_dir):
+    def test_missing_velocity(self, capsys):
         code, _, err = _run(
             capsys,
-            ["exponents", "--zeta", "0.5365pi", "--q", "0.2", "--cache-dir", cache_dir],
+            ["exponents", "--zeta", "0.5365pi", "--q", "0.2"],
         )
         assert code == 2
 
 
-class TestCache:
-    def test_list_and_clear(self, capsys, cache_dir):
-        code, out, _ = _run(capsys, ["cache", "list", "--cache-dir", cache_dir])
-        assert code == 0
-        listing = json.loads(out)
-        assert listing["dir"] == cache_dir
-        code, out, _ = _run(capsys, ["cache", "clear", "--cache-dir", cache_dir])
-        assert code == 0
-        assert json.loads(out)["removed"] >= 0
-        code, out, _ = _run(capsys, ["cache", "list", "--cache-dir", cache_dir])
-        assert json.loads(out)["entries"] == []
+class TestNoDiskState:
+    def test_cache_interface_rejected_and_nothing_written(
+        self, tmp_path_factory, monkeypatch, capsys
+    ):
+        home = tmp_path_factory.mktemp("home")
+        env_dir = tmp_path_factory.mktemp("env-cache")
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setenv("XXZ_CACHE_DIR", str(env_dir))
+        monkeypatch.chdir(home)
+        cfg = tmp_path_factory.mktemp("cfg") / "run.cfg"
+        cfg.write_text(f"zeta = 0.5365pi\nq = 0.2\ncache_dir = {env_dir}\n")
+        point = ["--zeta", "0.5365pi", "--q", "0.2"]
+        for argv in (
+            ["cache", "list"],
+            ["solve"] + point + ["--cache-dir", str(env_dir)],
+            ["solve", "--config", str(cfg)],
+        ):
+            code, _, err = _run(capsys, argv)
+            assert code == 2, argv
+            assert json.loads(err)["error"] == "validation"
+        small = ["--v", "0.6", "--rmax", "1", "--bound", "1", "--order", "24"]
+        for argv in (["solve"] + point, ["exponents"] + point + small):
+            code, _, _ = _run(capsys, argv)
+            assert code == 0, argv
+        assert list(home.iterdir()) == []
+        assert list(env_dir.iterdir()) == []
 
 
 class TestVerifyDispatch:

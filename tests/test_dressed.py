@@ -4,13 +4,10 @@ from math import pi
 import numpy as np
 import pytest
 
-from xxzchain.cache import SolveCache
 from xxzchain.dressed import (
-    DressedSet,
     ModelParams,
     dressed_energy_r,
     dressed_momentum,
-    find_fermi_endpoint,
     h_critical,
     solve_dressed_energy,
     solve_dressed_set,
@@ -224,10 +221,6 @@ class TestWrappers:
         gf = solve_dressed_energy(params, 1e-6)
         assert abs(gf(0.0) - (1.0 - h_critical(1.0, 0.5365 * pi))) < 1e-5
 
-    def test_find_fermi_endpoint_alias(self):
-        ds = find_fermi_endpoint(ModelParams(J=1.0, zeta=0.5365 * pi, q=0.2))
-        assert abs(ds.q - 0.2) < 1e-15
-
     def test_dressed_energy_r_requires_string(self, sets):
         ds = sets[(0.5365, 0.2)]
         with pytest.raises(InvalidStringError):
@@ -296,18 +289,6 @@ class TestSignPatterns:
 
 
 class TestPhaseCaching:
-    def test_disk_cache_round_trip(self, tmp_path):
-        cache = SolveCache(tmp_path)
-        params = ModelParams(J=1.0, zeta=0.5365 * pi, q=0.2)
-        a = DressedSet(params, cache=cache)
-        v1 = a.phi(1, 0.1, a.q)
-        assert len(cache.list()) == 1
-        b = DressedSet(params, cache=cache)
-        v2 = b.phi(1, 0.1, b.q)
-        assert abs(v1 - v2) < 1e-13
-        assert cache.clear() == 1
-        assert cache.list() == []
-
     def test_in_memory_cache_identity(self, sets):
         ds = sets[(0.1065, 0.2)]
         g1 = ds.dressed_phase(1, ds.q)

@@ -54,9 +54,9 @@ def _assert_match(got, want, path="$", exact=False):
 
 @pytest.mark.parametrize("command", ["exponents", "saddles"])
 @pytest.mark.parametrize("zeta", sorted(POINTS))
-def test_matches_golden(command, zeta, tmp_path, capsys):
+def test_matches_golden(command, zeta, capsys):
     argv = [command, "--zeta", zeta] + POINTS[zeta] + COMMON + EXTRA[command]
-    assert run(argv + ["--cache-dir", str(tmp_path)]) == 0
+    assert run(argv) == 0
     got = json.loads(capsys.readouterr().out)
     want = json.loads((DATA / f"{command}_zeta{zeta}.json").read_text())
     _assert_match(got, want)
