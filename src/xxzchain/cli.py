@@ -14,6 +14,7 @@ import csv
 import io
 import math
 import sys
+from functools import lru_cache
 from math import pi
 
 from . import contours
@@ -188,7 +189,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The `xxz` parser, built once per process; parsing leaves it unchanged."""
     common = _Parser(add_help=False)
     common.add_argument("--zeta", type=parse_angle)
     common.add_argument("--q", type=float)

@@ -14,14 +14,12 @@ from math import cos, pi, sin
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import (
     BracketError,
     ConsistencyError,
     InvalidStringError,
     PoleProximityError,
-    SolverError,
     ValidationError,
 )
 from .kernels import (
@@ -33,7 +31,13 @@ from .kernels import (
     string_combinatorics,
     w_hat,
 )
-from .quadrature import DEFAULT_ORDER, GridFunction, find_root_bracketed, gauss_legendre
+from .quadrature import (
+    DEFAULT_ORDER,
+    GridFunction,
+    NystromLU,
+    find_root_bracketed,
+    gauss_legendre,
+)
 
 EXTENSION_POLE_GUARD = 1e-4
 
@@ -83,38 +87,16 @@ def _im_dist_to_lines(im: float, etas) -> float:
     return best
 
 
-class _Discretization:
+class _Discretization(NystromLU):
     """Shared Nystrom data at a given (zeta, q, order)."""
 
     def __init__(self, zeta: float, Q: float, order: int):
         self.zeta = zeta
         self.Q = Q
-        self.quad = gauss_legendre(order, -Q, Q)
-        x = self.quad.nodes
-        kmat = kernel_k(x[:, None] - x[None, :], zeta)
-        self.a_mat = np.eye(order) + kmat * self.quad.weights[None, :]
-        cond = np.linalg.cond(self.a_mat, 1)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise SolverError(f"dressed Nystrom matrix ill-conditioned: {cond:.3e}")
-        self.lu = lu_factor(self.a_mat)
-
-    def solve(self, g: np.ndarray) -> np.ndarray:
-        f = lu_solve(self.lu, g)
-        f = f + lu_solve(self.lu, g - self.a_mat @ f)
-        resid = np.max(np.abs(self.a_mat @ f - g))
-        if resid > 1e-10 * max(1.0, np.max(np.abs(g))):
-            raise SolverError(f"Nystrom residual {resid:.3e} too large")
-        return f
-
-    def grid_function(self, values, driving: Callable, driving_id: str) -> GridFunction:
-        zeta = self.zeta
-        return GridFunction(
-            quad=self.quad,
-            values=values,
-            driving=driving,
-            kernel=lambda l, m: kernel_k(l - m, zeta),
-            driving_id=driving_id,
-            kernel_id=f"K(zeta={zeta:.17g})",
+        super().__init__(
+            lambda l, m: kernel_k(l - m, zeta),
+            gauss_legendre(order, -Q, Q),
+            f"K(zeta={zeta:.17g})",
         )
 
 

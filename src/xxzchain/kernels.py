@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, pi, sin
+from math import floor, hypot, pi, sin
 
 import numpy as np
 
@@ -33,7 +33,10 @@ def w_hat(eta: float) -> float:
 
 
 def _pole_distance(lam, eta_hat: float):
-    """Distance of lam to the pole lattice {i(+-eta_hat + pi k)}."""
+    """Distance of lam to the pole lattice {i(+-eta_hat + pi k)}; for real lam
+    only its minimum, hypot(min|lam|, min(eta_hat, pi - eta_hat))."""
+    if not np.iscomplexobj(lam):
+        return hypot(np.min(np.abs(lam)), min(eta_hat, pi - eta_hat))
     lam = np.asarray(lam, dtype=complex)
     best = None
     for s in (1.0, -1.0):
@@ -46,12 +49,11 @@ def _pole_distance(lam, eta_hat: float):
 
 def kernel_k(lam, eta: float):
     """The kernel K(lam|eta); i pi periodic and even in lam."""
-    ehat = w_hat(eta)
     lam = np.asarray(lam)
     s2 = sin(2 * eta)
     if abs(s2) < _ETA_ZERO_TOL:
         return np.zeros(lam.shape) if lam.shape else 0.0
-    if np.min(_pole_distance(lam, ehat)) < POLE_ERROR_DIST:
+    if np.min(_pole_distance(lam, w_hat(eta))) < POLE_ERROR_DIST:
         raise PoleProximityError(f"kernel_k sampled within {POLE_ERROR_DIST} of a pole")
     out = s2 / (pi * (np.cosh(2 * lam) - np.cos(2 * eta)))
     return out

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
@@ -121,6 +121,42 @@ class GridFunction:
         return np.sum(self.quad.weights * self.values)
 
 
+class NystromLU:
+    """The Nystrom matrix A = I + K W of a kernel on a quadrature rule,
+    LU-factored under the solver contract: the 1-norm condition estimate of
+    LAPACK gecon on the LU (Higham, ACM TOMS 14 (1988) 381) must be finite and
+    at most 1e12, and `solve`, refined once, must leave a residual of at most
+    1e-10 * max(1, max|g|); otherwise SolverError is raised."""
+
+    def __init__(self, kernel: Callable, quad: Quadrature, kernel_id: str):
+        self.kernel, self.quad, self.kernel_id = kernel, quad, kernel_id
+        x = quad.nodes
+        kmat = np.asarray(kernel(x[:, None], x[None, :]))
+        self.a_mat = np.eye(quad.order, dtype=kmat.dtype) + kmat * quad.weights[None, :]
+        anorm = np.linalg.norm(self.a_mat, 1)
+        if not np.isfinite(anorm):
+            raise SolverError("Nystrom matrix has non-finite entries")
+        self.lu = lu_factor(self.a_mat, check_finite=False)
+        rcond, _ = get_lapack_funcs("gecon", (self.a_mat,))(self.lu[0], anorm)
+        self.cond = 1.0 / rcond if rcond > 0 else math.inf
+        if self.cond > 1e12:
+            raise SolverError(f"Nystrom matrix ill-conditioned: cond ~ {self.cond:.3e}")
+
+    def solve(self, g: np.ndarray) -> np.ndarray:
+        f = lu_solve(self.lu, g)
+        f = f + lu_solve(self.lu, g - self.a_mat @ f)
+        resid = np.max(np.abs(self.a_mat @ f - g))
+        if resid > 1e-10 * max(1.0, np.max(np.abs(g))):
+            raise SolverError(f"Nystrom residual {resid:.3e} exceeds 1e-10 * max(1, max|g|)")
+        return f
+
+    def grid_function(self, values, driving: Callable, driving_id: str) -> GridFunction:
+        """The Nystrom interpolant of solved node values for this kernel and rule."""
+        return GridFunction(
+            self.quad, values, driving, self.kernel, driving_id, self.kernel_id
+        )
+
+
 def solve_fredholm2(
     kernel: Callable,
     driving: Callable,
@@ -129,43 +165,14 @@ def solve_fredholm2(
     driving_id: str = "driving",
     kernel_id: str = "kernel",
 ) -> GridFunction:
-    """Solve f + int_{-Q}^{Q} K(.,mu) f(mu) dmu = g by Nystrom collocation.
-
-    Dense LU with one step of iterative refinement; residual and conditioning
-    are checked against the contract before returning.
-    """
+    """Solve f + int_{-Q}^{Q} K(.,mu) f(mu) dmu = g on a `NystromLU`."""
     if Q <= 0:
         raise ValidationError(f"Q must be positive, got {Q}")
-    quad = gauss_legendre(order, -Q, Q)
-    x = quad.nodes
-    kmat = np.asarray(kernel(x[:, None], x[None, :]))
-    a_mat = np.eye(order, dtype=kmat.dtype) + kmat * quad.weights[None, :]
-    g = np.asarray(driving(x), dtype=a_mat.dtype)
+    lu = NystromLU(kernel, gauss_legendre(order, -Q, Q), kernel_id)
+    g = np.asarray(driving(lu.quad.nodes), dtype=lu.a_mat.dtype)
     if g.ndim == 0:
         g = np.full(order, g)
-
-    cond = np.linalg.cond(a_mat, 1)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SolverError(f"Nystrom matrix ill-conditioned: cond ~ {cond:.3e}")
-
-    lu = lu_factor(a_mat)
-    f = lu_solve(lu, g)
-    # one refinement step
-    f = f + lu_solve(lu, g - a_mat @ f)
-
-    resid = np.max(np.abs(a_mat @ f - g))
-    gscale = max(np.max(np.abs(g)), 1.0)
-    if resid > 1e-10 * gscale:
-        raise SolverError(f"Nystrom residual {resid:.3e} exceeds 1e-10 * max|g|")
-
-    return GridFunction(
-        quad=quad,
-        values=f,
-        driving=driving,
-        kernel=kernel,
-        driving_id=driving_id,
-        kernel_id=kernel_id,
-    )
+    return lu.grid_function(lu.solve(g), driving, driving_id)
 
 
 def find_root_bracketed(f: Callable, a: float, b: float, tol: float = 1e-12) -> float:

@@ -42,6 +42,18 @@ class TestParsing:
         assert code == 2
 
 
+class TestParserReuse:
+    def test_error_then_solve_repeat_identically(self, capsys):
+        bad = ["solve", "--zeta", "0.5pi", "--order", "x"]
+        good = ["solve", "--zeta", "0.5365pi", "--q", "0.2"]
+        first = [_run(capsys, bad), _run(capsys, good)]
+        second = [_run(capsys, bad), _run(capsys, good)]
+        assert first[0][0] == 2 and json.loads(first[0][2])["error"] == "validation"
+        assert first[1][0] == 0 and first[1][2] == ""
+        assert second == first
+        assert cli._build_parser() is cli._build_parser()
+
+
 class TestSolve:
     def test_payload_fields(self, capsys):
         code, out, _ = _run(

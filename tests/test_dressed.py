@@ -4,6 +4,7 @@ from math import pi
 import numpy as np
 import pytest
 
+from xxzchain import dressed
 from xxzchain.dressed import (
     ModelParams,
     dressed_energy_r,
@@ -15,6 +16,7 @@ from xxzchain.dressed import (
 from xxzchain.errors import (
     InvalidStringError,
     PoleProximityError,
+    SolverError,
     ValidationError,
 )
 
@@ -183,6 +185,37 @@ class TestGuards:
             ds = solve_dressed_set(ModelParams(J=1.0, zeta=pi / 3, q=0.3))
         with pytest.raises(ValidationError):
             ds.p_r(0.5, 2)
+
+
+class TestConditionEstimate:
+    def test_gecon_estimate_tracks_exact_cond(self):
+        # the corners of zeta/pi in [0.05, 0.95], Q in [1e-6, 64], orders
+        # 16-256, then seeded draws with Q log-uniform
+        rng = np.random.default_rng(1988)
+        corners = [
+            (z * pi, Q, n) for z in (0.05, 0.95) for Q in (1e-6, 64.0) for n in (16, 256)
+        ]
+        draws = [
+            (
+                rng.uniform(0.05, 0.95) * pi,
+                math.exp(rng.uniform(math.log(1e-6), math.log(64.0))),
+                int(rng.integers(16, 257)),
+            )
+            for _ in range(40)
+        ]
+        for zeta, Q, order in corners + draws:
+            disc = dressed._Discretization(zeta, Q, order)
+            exact = np.linalg.cond(disc.a_mat, 1)
+            assert exact / 3 <= disc.cond <= 3 * exact, (zeta, Q, order)
+
+    def test_singular_matrix_raises(self, monkeypatch):
+        # K = -1/(2Q) with sum(w) = 2Q makes (I + K W) 1 = 0
+        Q = 0.7
+        monkeypatch.setattr(
+            dressed, "kernel_k", lambda lam, eta: np.full(np.shape(lam), -1 / (2 * Q))
+        )
+        with pytest.raises(SolverError, match="ill-conditioned"):
+            dressed._Discretization(0.4 * pi, Q, 32)
 
 
 class TestSelfConsistency:

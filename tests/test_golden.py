@@ -1,9 +1,13 @@
-"""Golden regression of `xxz exponents` and `xxz saddles` at two space-like points.
+"""Golden regression of `xxz exponents` and `xxz saddles` at two space-like
+points, and of the h-mode ground-state commands `xxz solve`, `velocities` and
+`strings --rmax 8` at the same two anisotropies with h = h_c / 2.
 
-The files under tests/data/golden are the stdout of the code before the
-saddle scans were hoisted out of the velocity loop. Counts, row order and
-integer fields must match exactly; floats must agree to 1e-12 relative
-(complex pairs by modulus).
+The exponents and saddles files under tests/data/golden are the stdout of
+the code before the saddle scans were hoisted out of the velocity loop; the
+solve, velocities and strings files were generated on commit 2d0125f, before
+the Nystrom condition number came from the LU (gecon) instead of an explicit
+inverse. Counts, row order and integer fields must match exactly; floats
+must agree to 1e-12 relative (complex pairs by modulus).
 """
 import json
 from pathlib import Path
@@ -22,6 +26,13 @@ POINTS = {
 }
 COMMON = ["--order", "32", "--rmax", "2"]
 EXTRA = {"exponents": ["--bound", "2"], "saddles": []}
+
+# h = h_c / 2 = 4 cos(zeta / 2)^2 at the default order 128
+GROUND_POINTS = {
+    "0.4204pi": ["--h", "2.4949450672604048"],
+    "0.7295pi": ["--h", "0.6797344435306228"],
+}
+GROUND_EXTRA = {"solve": [], "velocities": [], "strings": ["--rmax", "8"]}
 
 INT_KEYS = {
     "ell_plus", "ell_minus", "n0", "n1", "strings", "s_gamma",
@@ -56,6 +67,16 @@ def _assert_match(got, want, path="$", exact=False):
 @pytest.mark.parametrize("zeta", sorted(POINTS))
 def test_matches_golden(command, zeta, capsys):
     argv = [command, "--zeta", zeta] + POINTS[zeta] + COMMON + EXTRA[command]
+    assert run(argv) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((DATA / f"{command}_zeta{zeta}.json").read_text())
+    _assert_match(got, want)
+
+
+@pytest.mark.parametrize("command", sorted(GROUND_EXTRA))
+@pytest.mark.parametrize("zeta", sorted(GROUND_POINTS))
+def test_ground_state_matches_golden(command, zeta, capsys):
+    argv = [command, "--zeta", zeta] + GROUND_POINTS[zeta] + GROUND_EXTRA[command]
     assert run(argv) == 0
     got = json.loads(capsys.readouterr().out)
     want = json.loads((DATA / f"{command}_zeta{zeta}.json").read_text())

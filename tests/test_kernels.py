@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from xxzchain.errors import PoleProximityError, ValidationError
 from xxzchain.kernels import (
     KernelParams,
+    _pole_distance,
     bare_phase,
     bare_phase_1,
     kernel_k,
@@ -56,6 +57,37 @@ class TestKernelK:
                 kernel_k(lam + h, eta) - 2 * kernel_k(lam, eta) + kernel_k(lam - h, eta)
             ) / h**2
             assert abs(kernel_k_d2(lam, eta) - fd2) < 1e-6
+
+
+class TestRealPoleGuard:
+    # sin(2 eta) ~ 6e-13 passes the zero test, yet the pole lattice comes
+    # within pi - eta_hat ~ 3e-13 < POLE_ERROR_DIST of the real axis
+    ETA = pi * (1 - 1e-13)
+
+    @pytest.mark.parametrize("fn", [kernel_k, kernel_k_d1, kernel_k_d2])
+    def test_raises_at_real_zero(self, fn):
+        assert abs(math.sin(2 * self.ETA)) > 1e-15
+        assert pi - w_hat(self.ETA) < 1e-12
+        with pytest.raises(PoleProximityError):
+            fn(0.0, self.ETA)
+        with pytest.raises(PoleProximityError):
+            fn(np.array([-0.5, 0.0, 0.7]), self.ETA)
+
+    @pytest.mark.parametrize("fn", [kernel_k, kernel_k_d1, kernel_k_d2])
+    def test_no_raise_away_from_zero(self, fn):
+        vals = fn(np.array([-0.5, -0.1, 0.1, 0.7]), self.ETA)
+        assert np.all(np.isfinite(vals))
+
+    def test_real_distance_matches_complex_path(self):
+        rng = np.random.default_rng(31)
+        etas = [1e-9, 1e-3, pi / 2 - 1e-9, pi / 2, pi / 2 + 1e-9, pi - 1e-3, pi - 1e-9]
+        for eta in etas:
+            ehat = w_hat(eta)
+            x = rng.uniform(-3, 3, 64)
+            for lam in (x, x[:, None] - x[None, :], rng.uniform(0.2, 2.0, (5, 7)), 0.4):
+                want = np.min(_pole_distance(np.asarray(lam, dtype=complex), ehat))
+                got = np.min(_pole_distance(lam, ehat))
+                assert abs(got - want) <= 1e-15, (eta, got, want)
 
 
 class TestKernelKr:
