@@ -32,12 +32,10 @@ from .errors import (
     ReductionMismatchError,
     ValidationError,
 )
-# quadrature, and with it scipy, is imported before kernels on purpose: in
-# the other order a worker start-up (import plus one solve) took 0.3 s longer,
-# all of it system time from page faults during the scipy.special import
-# (CPython 3.11.7, scipy 1.17.1, 2-core x86-64)
+# brings in scipy: the page faults of the scipy.special import once moved a
+# worker start-up by 0.3 s with what the package had imported before it, so
+# time a start-up after moving this import (CPython 3.11.7, scipy 1.17.1)
 from .quadrature import _legendre_rule, barnes_g
-from .kernels import _segment_point_distance
 
 TRUNCATION = 12.0
 MAX_TRUNCATION = 80.0
@@ -632,6 +630,17 @@ def j_av_panels(zeta: float, tau_L: int, tau_R: int, A: float, order: int = 24):
 
 # ---------------------------------------------------------------------------
 # pole clearance certificates
+
+
+def _segment_point_distance(a: complex, b: complex, p: complex) -> float:
+    """Distance from point p to the straight segment [a, b] (a point if a == b)."""
+    ab = b - a
+    denom = abs(ab) ** 2
+    if denom == 0.0:
+        return abs(p - a)
+    t = ((p - a) * ab.conjugate()).real / denom
+    t = min(1.0, max(0.0, t))
+    return abs(a + t * ab - p)
 
 
 def certify_clearance(

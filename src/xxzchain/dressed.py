@@ -24,6 +24,8 @@ from .errors import (
 )
 from .kernels import (
     KernelParams,
+    _pole_line_distance,
+    bare_phase,
     bare_phase_1,
     kernel_k,
     kernel_k_d1,
@@ -73,18 +75,6 @@ class ModelParams:
         if self.order < 2:
             raise ValidationError("order must be >= 2")
         KernelParams(zeta=self.zeta)  # near-rational warning
-
-
-def _im_dist_to_lines(im: float, etas) -> float:
-    """Distance of an imaginary part to the lines {+-eta_hat + pi k}."""
-    best = math.inf
-    for eta in etas:
-        ehat = w_hat(eta)
-        for s in (1.0, -1.0):
-            d = im - s * ehat
-            d = abs(d - pi * round(d / pi))
-            best = min(best, d)
-    return best
 
 
 class _Discretization(NystromLU):
@@ -155,7 +145,6 @@ class DressedSet:
         )
 
         self._phase_cache: dict = {}
-        self._theta_seg1_cache: dict = {}
         self._line_cache: dict = {}  # saddles: v-independent carrier-line curves
         self.p_F = self._compute_p1(q)
 
@@ -204,8 +193,8 @@ class DressedSet:
         if not etas:
             return
         ims = np.unique(np.imag(np.atleast_1d(np.asarray(lam, dtype=complex))))
-        for im in ims:
-            if _im_dist_to_lines(float(im), etas) < EXTENSION_POLE_GUARD:
+        for im in ims.tolist():
+            if min(_pole_line_distance(im, w_hat(e)) for e in etas) < EXTENSION_POLE_GUARD:
                 raise PoleProximityError(
                     f"evaluation at Im(lam)={im} within {EXTENSION_POLE_GUARD} "
                     "of a kernel pole line"
@@ -288,34 +277,8 @@ class DressedSet:
         k = math.ceil((lam.imag - pi / 2) / pi - 1e-15)
         return complex(lam.real, lam.imag - k * pi)
 
-    def _theta_complex(self, z: complex, eta: float) -> complex:
-        """theta(z|eta) with the vertical-segment value cached per (Im z, eta)."""
-        if abs(z.imag) < 1e-14:
-            return complex(bare_phase_1(z.real, eta))
-        key = (round(z.imag, 13), round(eta, 13))
-        seg1 = self._theta_seg1_cache.get(key)
-        if seg1 is None:
-            seg1 = bare_phase_1(1j * z.imag, eta, order=96, richardson=True)
-            self._theta_seg1_cache[key] = seg1
-        if abs(z.real) < 1e-14:
-            return complex(seg1)
-        from .kernels import _phase_segment  # same pole-aware segment rule
-
-        horiz = _phase_segment(1j * z.imag, z, eta, 96, 1e-6)
-        horiz2 = _phase_segment(1j * z.imag, z, eta, 96, 2e-6)
-        return complex(seg1) + (2 * horiz - horiz2)
-
-    def _theta_r(self, z: complex, r: int) -> complex:
-        val = self._theta_complex(z, self.zeta * (r + 1) / 2)
-        if r >= 2:
-            val = val + self._theta_complex(z, self.zeta * (r - 1) / 2)
-        return val
-
     def _compute_p1(self, lam_real: float) -> float:
-        diffs = lam_real - self.quad.nodes
-        theta_vals = 2 * np.arctan(
-            np.tanh(diffs) / math.tan(w_hat(self.zeta))
-        )  # theta(.|zeta) on the real line
+        theta_vals = bare_phase_1(lam_real - self.quad.nodes, self.zeta)
         conv = np.sum(self.quad.weights * theta_vals * self.p1prime.values) / (2 * pi)
         return float(bare_phase_1(lam_real, self.zeta / 2)) - conv
 
@@ -333,23 +296,13 @@ class DressedSet:
     def _p_r_scalar(self, lam: complex, r: int) -> complex:
         z = self._reduce_periodic(lam)
         sc = string_combinatorics(r, self.zeta)
-        if abs(z.imag) < 1e-14 and r == 1:
-            return complex(self._compute_p1(z.real))
-
         if abs(z.imag) < 1e-14:
-            x = z.real - self.quad.nodes
-            ehat_hi = w_hat(self.zeta * (r + 1) / 2)
-            ehat_lo = w_hat(self.zeta * (r - 1) / 2)
-            theta_vals = np.zeros(len(x))
-            for ehat in (ehat_hi, ehat_lo):
-                if ehat > 1e-12 and pi - ehat > 1e-12:
-                    theta_vals = theta_vals + 2 * np.arctan(np.tanh(x) / math.tan(ehat))
-        else:
-            theta_vals = np.array(
-                [self._theta_r(complex(z - mu), r) for mu in self.quad.nodes]
-            )
+            if r == 1:
+                return complex(self._compute_p1(z.real))
+            z = z.real  # real bare phases, real dtypes
+        theta_vals = bare_phase(z - self.quad.nodes, r, self.zeta)
         conv = np.sum(self.quad.weights * theta_vals * self.p1prime.values) / (2 * pi)
-        lead = self._theta_complex(z, r * self.zeta / 2)
+        lead = bare_phase_1(z, r * self.zeta / 2)
 
         corr = pi * sc.ell_r - self.p_F * sc.m_r
         for sigma in (1, -1):
@@ -377,22 +330,8 @@ class DressedSet:
         sc = string_combinatorics(r, self.zeta)
         mu = complex(mu)
 
-        nodes = self.quad.nodes
-        if abs(mu.imag) < 1e-14:
-            x = nodes - mu.real
-            driving_vals = np.zeros(len(x))
-            for sgn_r in (r + 1, r - 1):
-                ehat = w_hat(self.zeta * sgn_r / 2)
-                if ehat > 1e-12 and pi - ehat > 1e-12:
-                    driving_vals = driving_vals + 2 * np.arctan(
-                        np.tanh(x) / math.tan(ehat)
-                    )
-            driving_vals = driving_vals / (2 * pi) + sc.m_r / 2
-        else:
-            driving_vals = (
-                np.array([self._theta_r(complex(x - mu), r) for x in nodes]) / (2 * pi)
-                + sc.m_r / 2
-            )
+        x = self.quad.nodes - (mu.real if abs(mu.imag) < 1e-14 else mu)
+        driving_vals = bare_phase(x, r, self.zeta) / (2 * pi) + sc.m_r / 2
 
         if np.iscomplexobj(driving_vals) and np.max(np.abs(driving_vals.imag)) > 0:
             values = self.disc.solve(driving_vals.real) + 1j * self.disc.solve(
@@ -407,13 +346,10 @@ class DressedSet:
 
     def _phase_grid_function(self, values, r, mu) -> GridFunction:
         sc = string_combinatorics(r, self.zeta)
-        ds = self
 
         def driving(lam):
-            lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-            vals = np.array([ds._theta_r(complex(x - mu), r) for x in lam]) / (
-                2 * pi
-            ) + sc.m_r / 2
+            z = np.atleast_1d(np.asarray(lam, dtype=complex)) - mu
+            vals = bare_phase(z, r, self.zeta) / (2 * pi) + sc.m_r / 2
             return vals if vals.shape != (1,) else vals[0]
 
         return self.disc.grid_function(values, driving, f"phi_{r}(mu={mu})")

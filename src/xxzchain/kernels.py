@@ -4,9 +4,13 @@ K(lam|eta) = sin(2 eta) / (2 pi sinh(lam + i eta) sinh(lam - i eta))
            = sin(2 eta) / (pi (cosh 2 lam - cos 2 eta)),
 
 with simple poles at lam = +- i eta mod i pi. The bound-state kernel is
-K_r = K(.|zeta (r+1)/2) + K(.|zeta (r-1)/2). Bare phases are antiderivatives
-of 2 pi K along the two-segment path [0, i Im lam] then [i Im lam, lam],
-with poles passed on the left.
+K_r = K(.|zeta (r+1)/2) + K(.|zeta (r-1)/2). The bare phase theta(lam|eta) is
+the integral of 2 pi K along the two-segment path [0, i Im lam] then
+[i Im lam, lam], with poles passed on the left. Since
+2 pi K(mu|eta) = -i [coth(mu - i eta) - coth(mu + i eta)], it is
+-i [g(lam) - g(0)] with g = log sinh(mu - i eta) - log sinh(mu + i eta)
+continued along the path: a log modulus, whole multiples of pi for the zeros
+the vertical leg crosses, and an atan2 for the horizontal leg.
 """
 from __future__ import annotations
 
@@ -18,18 +22,23 @@ from math import floor, hypot, pi, sin
 import numpy as np
 
 from .errors import ContourError, PoleProximityError, ValidationError
-from .quadrature import integrate_segment
 
 _ETA_ZERO_TOL = 1e-15
 POLE_ERROR_DIST = 1e-12
-POLE_SHIFT_TRIGGER = 1e-4
-POLE_SHIFT = 1e-6
-_SUBTRACT_WINDOW = 0.6
+PHASE_POLE_DIST = 1e-10
 
 
 def w_hat(eta: float) -> float:
     """Hat reduction of an angle mod pi into [0, pi); K(.|eta) only depends on this."""
     return eta - pi * floor(eta / pi)
+
+
+def _pole_line_distance(im, eta_hat: float):
+    """Distance of Im(lam) (a float or an array) to the pole lines
+    {+-eta_hat + pi k} of K(.|eta): pi/2 - |(d mod pi) - pi/2| for d = im -+ eta_hat."""
+    return np.minimum(
+        pi / 2 - abs((im - eta_hat) % pi - pi / 2), pi / 2 - abs((im + eta_hat) % pi - pi / 2)
+    )
 
 
 def _pole_distance(lam, eta_hat: float):
@@ -38,13 +47,7 @@ def _pole_distance(lam, eta_hat: float):
     if not np.iscomplexobj(lam):
         return hypot(np.min(np.abs(lam)), min(eta_hat, pi - eta_hat))
     lam = np.asarray(lam, dtype=complex)
-    best = None
-    for s in (1.0, -1.0):
-        dd = lam.imag - s * eta_hat
-        dd = dd - pi * np.round(dd / pi)
-        d = np.hypot(lam.real, dd)
-        best = d if best is None else np.minimum(best, d)
-    return best
+    return np.hypot(lam.real, _pole_line_distance(lam.imag, eta_hat))
 
 
 def kernel_k(lam, eta: float):
@@ -143,114 +146,72 @@ def string_combinatorics(r: int, zeta: float) -> StringCombinatorics:
 # ---------------------------------------------------------------------------
 
 
-def _segment_point_distance(a: complex, b: complex, p: complex) -> float:
-    """Distance from point p to the straight segment [a, b] (a point if a == b)."""
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
-        return abs(p - a)
-    t = ((p - a) * ab.conjugate()).real / denom
-    t = min(1.0, max(0.0, t))
-    return abs(a + t * ab - p)
-
-
-def _poles_near_segment(a: complex, b: complex, eta_hat: float, window: float):
-    """Poles i(+-eta_hat + pi k) of K(.|eta) within `window` of segment [a, b]."""
-    lo = min(a.imag, b.imag) - window - 1.0
-    hi = max(a.imag, b.imag) + window + 1.0
-    out = []
-    for s in (1.0, -1.0):
-        k0 = floor((lo - s * eta_hat) / pi) - 1
-        k1 = floor((hi - s * eta_hat) / pi) + 1
-        for k in range(k0, k1 + 1):
-            p = 1j * (s * eta_hat + pi * k)
-            if _segment_point_distance(a, b, p) < window:
-                # residue of 2 pi K(.|eta) at this pole is -i s
-                out.append((p, -1j * s))
-    return out
-
-
-def _phase_segment(a: complex, b: complex, eta: float, order: int, shift: float) -> complex:
-    """int_a^b 2 pi K(mu - 0+ | eta) dmu along a straight segment.
-
-    Simple poles close to the segment are subtracted analytically (at their
-    position displaced by +shift, realizing the left-avoidance of samples
-    displaced by -shift) and restored through the principal-branch log of the
-    endpoint ratio; the smooth remainder is integrated by Gauss-Legendre.
-    """
+def _vanishes(eta: float) -> bool:
+    """Whether theta(.|eta) is taken as 0: sin 2 eta = 0, or the pole lines
+    i(+-eta_hat + pi k) pinch the real axis (eta_hat within 1e-12 of 0 or pi)."""
     ehat = w_hat(eta)
-    if abs(sin(2 * eta)) < _ETA_ZERO_TOL:
-        return 0.0
-    near = _poles_near_segment(a, b, ehat, _SUBTRACT_WINDOW)
-    dmin = min((_segment_point_distance(a, b, p) for p, _ in near), default=np.inf)
-    eps = shift if dmin < POLE_SHIFT_TRIGGER else 0.0
-    shifted = [(p + eps, res) for p, res in near]
-    for p, _ in shifted:
-        if min(abs(a - p), abs(b - p)) < 1e-10 or (
-            eps == 0.0 and _segment_point_distance(a, b, p) < 1e-10
-        ):
-            raise ContourError(f"bare-phase path passes through the pole at {p}")
-
-    def smooth(mu):
-        vals = 2 * pi * kernel_k(mu - eps, eta)
-        for p, res in shifted:
-            vals = vals - res / (mu - p)
-        return vals
-
-    total = integrate_segment(smooth, a, b, order)
-    for p, res in shifted:
-        total += res * np.log((b - p) / (a - p))
-    return complex(total)
+    return abs(sin(2 * eta)) < _ETA_ZERO_TOL or min(ehat, pi - ehat) < 1e-12
 
 
-def _bare_phase_1_contour(lam: complex, eta: float, order: int, shift: float) -> complex:
-    total = 0.0 + 0.0j
-    mid = 1j * lam.imag
-    if abs(mid) > 0:
-        total += _phase_segment(0.0 + 0.0j, mid, eta, order, shift)
-    if abs(lam - mid) > 0:
-        total += _phase_segment(mid, complex(lam), eta, order, shift)
-    return total
-
-
-def bare_phase_1(lam, eta: float, order: int = 64, richardson: bool = False):
+def bare_phase_1(lam, eta: float):
     """Bare two-particle phase theta(lam|eta) with poles passed on the left.
 
-    On the real axis this reduces to 2 arctan(tanh(lam) cot(eta_hat)); off the
-    axis the two-segment path is integrated with pole-aware quadrature.
+    On the real axis (a real dtype, or |Im lam| < 1e-14) this is
+    2 arctan(tanh(lam) cot(eta_hat)), returned as a real dtype for real input.
+    Elsewhere it is the closed form of the integral of 2 pi K along the path
+    0 -> i Im lam -> lam; raises ContourError within 1e-10 of a pole, and on a
+    pole line returns the limit from the side farther from the real axis.
     """
-    ehat = w_hat(eta)
-    lam_arr = np.asarray(lam, dtype=complex)
-    scalar = lam_arr.ndim == 0
+    lam_arr = np.asarray(lam)
     pts = np.atleast_1d(lam_arr)
-    out = np.empty(pts.shape, dtype=complex)
-    if abs(sin(2 * eta)) < _ETA_ZERO_TOL and (ehat < 1e-12 or pi - ehat < 1e-12):
-        # K(.|eta) vanishes identically
-        out[:] = 0.0
-    else:
-        real_mask = np.abs(pts.imag) < 1e-14
-        if np.any(real_mask):
-            x = pts.real[real_mask]
-            out[real_mask] = 2 * np.arctan(np.tanh(x) / np.tan(ehat))
-        for idx in np.argwhere(~real_mask):
-            z = complex(pts[tuple(idx)])
-            if richardson:
-                f1 = _bare_phase_1_contour(z, eta, order, POLE_SHIFT)
-                f2 = _bare_phase_1_contour(z, eta, order, 2 * POLE_SHIFT)
-                out[tuple(idx)] = 2 * f1 - f2
-            else:
-                out[tuple(idx)] = _bare_phase_1_contour(z, eta, order, POLE_SHIFT)
-    if scalar:
-        val = complex(out[0])
-        return val.real if abs(val.imag) == 0.0 else val
+    out = np.zeros(pts.shape, dtype=complex if np.iscomplexobj(pts) else float)
+    if not _vanishes(eta):
+        ehat = w_hat(eta)
+        real = np.abs(pts.imag) < 1e-14
+        out[real] = 2 * np.arctan(np.tanh(pts.real[real]) / np.tan(ehat))
+        if not real.all():
+            out[~real] = _bare_phase_off_axis(pts[~real], ehat)
+    if lam_arr.ndim:
+        return out
+    val = complex(out[0])
+    return val.real if val.imag == 0.0 else val
+
+
+def _bare_phase_off_axis(lam, ehat: float):
+    """theta = -i [g(lam) - g(0)] with g = log sinh(mu - i ehat) - log sinh(mu + i ehat)
+    continued along 0 -> i b -> x + i b (b != 0), the vertical leg at Re mu = -0.
+
+    For each factor sinh(mu + i a_s), a_s = b - s ehat: its argument drops by
+    pi sgn(b) at each zero crossed on the vertical leg (floor(a_s / pi) counts
+    them), changes continuously by atan2(cosh x sin a, sinh x cos a) on the
+    horizontal leg, and its modulus is sqrt(sinh^2 x + sin^2 a).
+    """
+    if np.min(_pole_distance(lam, ehat)) < PHASE_POLE_DIST:
+        raise ContourError(f"bare phase evaluated within {PHASE_POLE_DIST} of a pole")
+    x, b = lam.real, lam.imag
+    th, sech = np.tanh(x), 1 / np.cosh(x)
+    # zeros crossed are counted from floor(a_s / pi) at b = 0: -1 for s = 1, 0 for s = -1
+    out = np.full(lam.shape, -pi, dtype=complex)
+    for s in (1.0, -1.0):
+        a = b - s * ehat
+        k = np.round(a / pi)
+        parity = 1 - 2 * np.mod(k, 2)  # (-1)^k: sin a has the sign of parity (a - k pi)
+        sa = np.sin(a)
+        # on a pole line, the side beyond it (larger |Im lam|): the end zero is crossed
+        sa = np.where(sa == 0, np.copysign(0.0, parity * b), sa)
+        floor_a = k - (parity * np.copysign(1.0, sa) < 0)
+        horiz = np.arctan2(sa, th * np.cos(a)) - np.copysign(pi / 2, sa)
+        # log(|sinh(x + i a)|^2 / cosh^2 x); the cosh^2 x cancels between s = +-1
+        log_mod = np.log(th * th + (sa * sech) ** 2)
+        out += s * (horiz - pi * floor_a - 0.5j * log_mod)
     return out
 
 
-def bare_phase(lam, r: int, zeta: float, order: int = 64, richardson: bool = False):
+def bare_phase(lam, r: int, zeta: float):
     """Bound-state bare phase theta_r = theta(.|zeta(r+1)/2) + theta(.|zeta(r-1)/2)."""
     if r < 1:
         raise ValidationError(f"r must be >= 1, got {r}")
-    hi = bare_phase_1(lam, zeta * (r + 1) / 2, order=order, richardson=richardson)
+    hi = bare_phase_1(lam, zeta * (r + 1) / 2)
     if r == 1:
         return hi
-    return hi + bare_phase_1(lam, zeta * (r - 1) / 2, order=order, richardson=richardson)
+    return hi + bare_phase_1(lam, zeta * (r - 1) / 2)

@@ -73,6 +73,20 @@ def test_matches_golden(command, zeta, capsys):
     _assert_match(got, want)
 
 
+def test_exponents_match_mpmath_phases(capsys):
+    # written by tests/data/make_exponents_mpmath_golden.py: the program with
+    # every complex bare phase from a 40-digit mpmath path integral
+    argv = [
+        "exponents", "--zeta", "0.42701173523317626pi", "--q", "0.6892213825918673",
+        "--order", "32", "--v", "4.380638060358626", "--rmax", "2", "--bound", "2",
+        "--spin", "0",
+    ]
+    assert run(argv) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((DATA / "exponents_mpmath_zeta0.42701173523317626pi.json").read_text())
+    _assert_match(got, want)
+
+
 @pytest.mark.parametrize("command", sorted(GROUND_EXTRA))
 @pytest.mark.parametrize("zeta", sorted(GROUND_POINTS))
 def test_ground_state_matches_golden(command, zeta, capsys):

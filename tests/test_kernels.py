@@ -1,12 +1,14 @@
+import json
 import math
 from math import pi
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xxzchain.errors import PoleProximityError, ValidationError
+from xxzchain.errors import ContourError, PoleProximityError, ValidationError
 from xxzchain.kernels import (
     KernelParams,
     _pole_distance,
@@ -22,6 +24,17 @@ from xxzchain.kernels import (
 from xxzchain.quadrature import Polyline, integrate_polyline
 
 RNG = np.random.default_rng(20240817)
+
+# theta(lam|eta) from a 40-digit mpmath path integral, written by
+# tests/data/make_bare_phase_reference.py
+REFERENCE = json.loads(
+    (Path(__file__).parent / "data" / "bare_phase_reference.json").read_text()
+)
+
+
+def _reference(kind):
+    return [(complex(*r["lam"]), r["eta"], complex(*r["theta"]))
+            for r in REFERENCE if r["kind"] == kind]
 
 
 class TestKernelK:
@@ -140,7 +153,7 @@ class TestBarePhase:
         lam = x + 1j * pi / 2
         f = lambda z: 2 * pi * kernel_k(z, eta)
         alt = integrate_polyline(f, Polyline.of([0, x, lam]), order_per_segment=96)
-        canonical = bare_phase_1(lam, eta, richardson=True)
+        canonical = bare_phase_1(lam, eta)
         assert abs(canonical - (alt - 2 * pi)) < 1e-8
 
     def test_rectangle_oracle_opposite_parity_pole(self):
@@ -152,15 +165,60 @@ class TestBarePhase:
         lam = x + 1j * pi / 2
         f = lambda z: 2 * pi * kernel_k(z, eta)
         alt = integrate_polyline(f, Polyline.of([0, x, lam]), order_per_segment=96)
-        canonical = bare_phase_1(lam, eta, richardson=True)
+        canonical = bare_phase_1(lam, eta)
         assert abs(canonical - (alt + 2 * pi)) < 1e-8
 
-    def test_richardson_consistent(self):
-        eta = pi / 3
-        lam = 0.8 + 1j * pi / 2
-        a = bare_phase_1(lam, eta)
-        b = bare_phase_1(lam, eta, richardson=True)
-        assert abs(a - b) < 1e-5
+    def test_matches_mpmath_reference(self):
+        # near pole lines and poles, |Im lam| up to 8, eta_hat near pi/2
+        assert len(REFERENCE) >= 60
+        for r in REFERENCE:
+            z, want = complex(*r["lam"]), complex(*r["theta"])
+            assert abs(bare_phase_1(z, r["eta"]) - want) <= 1e-12, r
+            assert abs(bare_phase_1(np.array([z]), r["eta"])[0] - want) <= 1e-12, r
+
+    def test_near_pole_values(self):
+        # theta(+-0.4 + i(0.9 -+ 1e-9) | 0.9), 1e-9 from the pole at 0.9 i
+        cases = [(z, eta, want) for z, eta, want in _reference("near-pole")
+                 if abs(abs(z.real) - 0.4) < 1e-15 and eta == 0.9]
+        assert len(cases) == 4
+        for z, eta, want in cases:
+            got = bare_phase_1(z, eta)
+            assert abs(got - want) <= 1e-12, (z, got, want)
+        # below the pole line neither route encloses the pole, so
+        # theta(-conj lam) = -conj theta(lam)
+        z = 0.4 + 1j * (0.9 - 1e-9)
+        assert abs(bare_phase_1(-z.conjugate(), 0.9) + bare_phase_1(z, 0.9).conjugate()) <= 1e-12
+
+    def test_finite_on_pole_line(self):
+        # on a pole line away from the pole: the limit from the side beyond it
+        (z, eta, want), = [c for c in _reference("on-line") if c[0] == 0.4 + 0.9j]
+        got = bare_phase_1(z, eta)
+        assert np.isfinite(got) and abs(got - want) <= 1e-12, (got, want)
+
+    def test_raises_at_pole(self):
+        for lam in (0.9j, 3e-11 + 0.9j, -2e-11 + 1j * (0.9 + 5e-11), 0.9j - 1j * pi):
+            with pytest.raises(ContourError):
+                bare_phase_1(lam, 0.9)
+        with pytest.raises(ContourError):
+            bare_phase_1(np.array([0.3 + 0.2j, 1e-11 - 0.9j]), 0.9)
+        assert np.isfinite(bare_phase_1(2e-10 + 0.9j, 0.9))
+
+    def test_vanishing_rule_is_shared(self):
+        # sin 2 eta ~ 1e-12 passes the kernel's zero test, but the pole lines
+        # pinch the real axis (eta_hat ~ 5e-13): every bare phase is 0
+        eta = pi + 5e-13
+        assert bare_phase_1(0.3, eta) == 0.0
+        assert bare_phase_1(0.3 + 0.2j, eta) == 0.0
+        assert not np.any(bare_phase_1(np.array([0.3, 0.3 + 0.2j, -1j]), eta))
+
+    def test_real_input_real_dtype(self):
+        eta = 0.7
+        x = np.linspace(-4, 4, 33)
+        got = bare_phase_1(x, eta)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, 2 * np.arctan(np.tanh(x) / np.tan(w_hat(eta))))
+        assert type(bare_phase_1(0.3, eta)) is float
+        assert bare_phase_1(0.3, eta) == 2 * np.arctan(np.tanh(0.3) / np.tan(eta))
 
     def test_oddness_on_real_line(self):
         for r in range(1, 9):
