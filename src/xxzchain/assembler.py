@@ -468,7 +468,7 @@ def assemble_term(config: ExcitationConfig, v: float, ds,
         top = 1j * kappa if a == 0 else 1j
         C *= (top / complex(sad.u_second)) ** (0.5 * n ** 2)
         coef = kappa * n if a == 0 else n
-        phase += coef * complex(np.asarray(u_r(sad.omega, v, 1, ds)).item())
+        phase += coef * _saddle_u(ds, 1, sad.omega, v)
 
     for r, counts in config.n_r:
         if not any(counts):
@@ -481,7 +481,7 @@ def assemble_term(config: ExcitationConfig, v: float, ds,
             sgn_p = _momentum_slope_sign(ds, r, sad.omega)
             C *= barnes_g(1 + n) * (sgn_p ** n) / (2 * math.pi) ** (n / 2.0)
             C *= (-1j * complex(sad.u_second)) ** (-0.5 * n ** 2)
-            phase += n * complex(np.asarray(u_r(sad.omega, v, r, ds)).item())
+            phase += n * _saddle_u(ds, r, sad.omega, v)
 
     deltas = {}
     for upsilon in (1, -1):
@@ -522,8 +522,25 @@ def assemble_term(config: ExcitationConfig, v: float, ds,
     )
 
 
+def _saddle_value(ds, key, compute) -> complex:
+    """compute() as a complex, once per key and solved set. Exceptions are not
+    stored, so a failing evaluation raises again at every call."""
+    val = ds._saddle_cache.get(key)
+    if val is None:
+        val = ds._saddle_cache[key] = complex(compute())
+    return val
+
+
+def _saddle_u(ds, r: int, omega: complex, v: float) -> complex:
+    return _saddle_value(
+        ds, ("u", r, omega, v), lambda: np.asarray(u_r(omega, v, r, ds)).item()
+    )
+
+
 def _momentum_slope_sign(ds, r: int, omega: complex) -> int:
-    slope = complex(np.asarray(ds.p_r_d1(omega, r)).item())
+    slope = _saddle_value(
+        ds, ("slope", r, omega), lambda: np.asarray(ds.p_r_d1(omega, r)).item()
+    )
     if abs(slope.imag) > 1e-6 * max(1.0, abs(slope)):
         raise ValidationError(
             f"momentum slope not real on the carrier line at {omega!r}: {slope!r}"
@@ -532,7 +549,7 @@ def _momentum_slope_sign(ds, r: int, omega: complex) -> int:
 
 
 def _real_phase(ds, r: int, upsilon: int, mu: complex) -> float:
-    val = complex(ds.phi(r, upsilon * ds.q, mu))
+    val = _saddle_value(ds, ("phi", r, upsilon, mu), lambda: ds.phi(r, upsilon * ds.q, mu))
     return _realize(val, f"dressed phase phi_{r} at the Fermi boundary")
 
 

@@ -146,6 +146,7 @@ class DressedSet:
 
         self._phase_cache: dict = {}
         self._line_cache: dict = {}  # saddles: v-independent carrier-line curves
+        self._saddle_cache: dict = {}  # assembler: complex u_r, p_r' and phi at saddles
         self.p_F = self._compute_p1(q)
 
         # positivity checks demanded of every solved set
@@ -338,7 +339,7 @@ class DressedSet:
                 driving_vals.imag
             )
         else:
-            values = self.disc.solve(np.asarray(driving_vals, dtype=float))
+            values = self.disc.solve(driving_vals.real)
 
         gf = self._phase_grid_function(values, r, mu)
         self._phase_cache[key] = gf

@@ -50,13 +50,28 @@ def _pole_distance(lam, eta_hat: float):
     return np.hypot(lam.real, _pole_line_distance(lam.imag, eta_hat))
 
 
+def _near_pole(lam, eta_hat: float, tol: float) -> bool:
+    """np.min(_pole_distance(lam, eta_hat)) < tol. For finite complex lam the
+    line distance is taken only in the strip |Re lam| < tol, since
+    hypot(Re lam, d) >= |Re lam| outside it; NaN and inf (a non-finite sum)
+    take the full path."""
+    if not np.iscomplexobj(lam):
+        return _pole_distance(lam, eta_hat) < tol
+    lam = np.asarray(lam)
+    if lam.size and np.isfinite(lam.sum()):
+        lam = lam[np.abs(lam.real) < tol]
+        if not lam.size:
+            return False
+    return bool(np.min(_pole_distance(lam, eta_hat)) < tol)
+
+
 def kernel_k(lam, eta: float):
     """The kernel K(lam|eta); i pi periodic and even in lam."""
     lam = np.asarray(lam)
     s2 = sin(2 * eta)
     if abs(s2) < _ETA_ZERO_TOL:
         return np.zeros(lam.shape) if lam.shape else 0.0
-    if np.min(_pole_distance(lam, w_hat(eta))) < POLE_ERROR_DIST:
+    if _near_pole(lam, w_hat(eta), POLE_ERROR_DIST):
         raise PoleProximityError(f"kernel_k sampled within {POLE_ERROR_DIST} of a pole")
     out = s2 / (pi * (np.cosh(2 * lam) - np.cos(2 * eta)))
     return out
@@ -68,7 +83,7 @@ def kernel_k_d1(lam, eta: float):
     s2 = sin(2 * eta)
     if abs(s2) < _ETA_ZERO_TOL:
         return np.zeros(lam.shape) if lam.shape else 0.0
-    if np.min(_pole_distance(lam, w_hat(eta))) < POLE_ERROR_DIST:
+    if _near_pole(lam, w_hat(eta), POLE_ERROR_DIST):
         raise PoleProximityError("kernel_k_d1 sampled at a pole")
     d = np.cosh(2 * lam) - np.cos(2 * eta)
     return -2 * s2 * np.sinh(2 * lam) / (pi * d * d)
@@ -80,7 +95,7 @@ def kernel_k_d2(lam, eta: float):
     s2 = sin(2 * eta)
     if abs(s2) < _ETA_ZERO_TOL:
         return np.zeros(lam.shape) if lam.shape else 0.0
-    if np.min(_pole_distance(lam, w_hat(eta))) < POLE_ERROR_DIST:
+    if _near_pole(lam, w_hat(eta), POLE_ERROR_DIST):
         raise PoleProximityError("kernel_k_d2 sampled at a pole")
     d = np.cosh(2 * lam) - np.cos(2 * eta)
     sh = np.sinh(2 * lam)
@@ -186,7 +201,7 @@ def _bare_phase_off_axis(lam, ehat: float):
     them), changes continuously by atan2(cosh x sin a, sinh x cos a) on the
     horizontal leg, and its modulus is sqrt(sinh^2 x + sin^2 a).
     """
-    if np.min(_pole_distance(lam, ehat)) < PHASE_POLE_DIST:
+    if _near_pole(lam, ehat, PHASE_POLE_DIST):
         raise ContourError(f"bare phase evaluated within {PHASE_POLE_DIST} of a pole")
     x, b = lam.real, lam.imag
     th, sech = np.tanh(x), 1 / np.cosh(x)

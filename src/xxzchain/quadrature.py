@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor
 from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
@@ -126,7 +126,8 @@ class NystromLU:
     LU-factored under the solver contract: the 1-norm condition estimate of
     LAPACK gecon on the LU (Higham, ACM TOMS 14 (1988) 381) must be finite and
     at most 1e12, and `solve`, refined once, must leave a residual of at most
-    1e-10 * max(1, max|g|); otherwise SolverError is raised."""
+    1e-10 * max(1, max|g|), which a non-finite g or solution never meets;
+    otherwise SolverError is raised."""
 
     def __init__(self, kernel: Callable, quad: Quadrature, kernel_id: str):
         self.kernel, self.quad, self.kernel_id = kernel, quad, kernel_id
@@ -137,16 +138,23 @@ class NystromLU:
         if not np.isfinite(anorm):
             raise SolverError("Nystrom matrix has non-finite entries")
         self.lu = lu_factor(self.a_mat, check_finite=False)
-        rcond, _ = get_lapack_funcs("gecon", (self.a_mat,))(self.lu[0], anorm)
+        gecon, self._getrs = get_lapack_funcs(("gecon", "getrs"), (self.a_mat,))
+        rcond, _ = gecon(self.lu[0], anorm)
         self.cond = 1.0 / rcond if rcond > 0 else math.inf
         if self.cond > 1e12:
             raise SolverError(f"Nystrom matrix ill-conditioned: cond ~ {self.cond:.3e}")
 
+    def _lu_solve(self, b: np.ndarray) -> np.ndarray:
+        x, info = self._getrs(*self.lu, b)
+        if info != 0:
+            raise SolverError(f"LAPACK getrs rejected argument {-info}")
+        return x
+
     def solve(self, g: np.ndarray) -> np.ndarray:
-        f = lu_solve(self.lu, g)
-        f = f + lu_solve(self.lu, g - self.a_mat @ f)
+        f = self._lu_solve(g)
+        f = f + self._lu_solve(g - self.a_mat @ f)
         resid = np.max(np.abs(self.a_mat @ f - g))
-        if resid > 1e-10 * max(1.0, np.max(np.abs(g))):
+        if not resid <= 1e-10 * max(1.0, np.max(np.abs(g))):
             raise SolverError(f"Nystrom residual {resid:.3e} exceeds 1e-10 * max(1, max|g|)")
         return f
 

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import itertools
 import math
 import time
@@ -20,7 +22,7 @@ from xxzchain.assembler import (
     shift_exponent,
     theta_upsilon,
 )
-from xxzchain.dressed import ModelParams, solve_dressed_set
+from xxzchain.dressed import DressedSet, ModelParams, solve_dressed_set
 from xxzchain.errors import RegimeMismatchError, ValidationError
 from xxzchain.kernels import bare_phase, string_combinatorics
 from xxzchain.saddles import classify_structure, fermi_velocity, u_r, v_infinity
@@ -320,6 +322,64 @@ class TestAssemble:
         v, structure = timelike_05365
         with pytest.raises(ValidationError):
             assemble_term(make_config(0, 0), 2 * v, ds_05365, structure)
+
+
+class TestSaddleMemo:
+    """assemble_term evaluates each saddle quantity once per solved set."""
+
+    POINT = dict(J=1.0, zeta=0.4204 * pi, q=0.45, order=32)
+    V = 3.0
+
+    def _table(self, ds):
+        structure = classify_structure(self.V, ds, r_max=2)
+        cat = catalog(ds.zeta, 2, ds=ds)
+        return structure, enumerate_configs(0, "general", 2, cat, structure=structure)
+
+    def test_shared_set_matches_fresh_sets_bitwise(self):
+        ds = solve_dressed_set(ModelParams(**self.POINT))
+        structure, configs = self._table(ds)
+        assert len(configs) > 50
+        shared = [assemble_term(c, self.V, ds, structure) for c in configs]
+        for cfg, term in zip(configs, shared):
+            fresh = assemble_term(
+                cfg, self.V, solve_dressed_set(ModelParams(**self.POINT)), structure
+            )
+            for f in dataclasses.fields(AsymptoticTerm):
+                a, b = getattr(term, f.name), getattr(fresh, f.name)
+                assert repr(a) == repr(b), (cfg, f.name, a, b)
+
+    def test_one_evaluation_per_distinct_input(self, monkeypatch):
+        ds = solve_dressed_set(ModelParams(**self.POINT))
+        structure, configs = self._table(ds)
+        calls = {name: collections.Counter() for name in ("phi", "p_r_d1", "p_r")}
+
+        def counting(name, key):
+            original = getattr(DressedSet, name)
+
+            def wrapper(self, *args):
+                calls[name][key(*args)] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(DressedSet, name, wrapper)
+
+        counting("phi", lambda r, lam, mu: (r, lam, complex(mu)))
+        counting("p_r_d1", lambda lam, r: (r, complex(lam)))
+        counting("p_r", lambda lam, r: (r, complex(lam)))
+        for cfg in configs:
+            assemble_term(cfg, self.V, ds, structure)
+        for name, counter in calls.items():
+            assert counter and set(counter.values()) == {1}, (name, counter)
+        # phi at both Fermi boundaries for every saddle and for +-q
+        assert {lam for _, lam, _ in calls["phi"]} == {ds.q, -ds.q}
+
+    def test_failure_is_not_memoized(self, ff):
+        # zeta = pi/2: the r = 1 saddle on Im = pi/2 sits at hat-reduction
+        # pi/2, where u_r raises; every assembly that needs it must raise
+        structure = classify_structure(2.0, ff, r_max=1)
+        cfg = make_config(-1, 0, n1=1)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="hat reduction"):
+                assemble_term(cfg, 2.0, ff, structure)
 
 
 class TestRank:

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from math import pi
+from pathlib import Path
 
 import pytest
 
+import xxzchain
 import xxzchain.cli as cli
 from xxzchain.cli import parse_angle, run
 from xxzchain.errors import ValidationError
@@ -204,6 +209,25 @@ class TestSaddlesExponents:
         exps = [row["total_exponent"] for row in rows]
         assert exps == sorted(exps)
         assert rows[0]["total_exponent"] == 0
+
+    def test_real_valued_complex_driving_is_silent(self):
+        # the complex-mu driving of a dressed phase can come out with an
+        # imaginary part that is exactly zero; it must reach the solver as
+        # its real part, with nothing written to stderr
+        argv = [
+            "exponents", "--zeta", "0.789666431334018pi", "--q", "0.10147423734577748",
+            "--order", "32", "--v", "1.2409989270598085", "--rmax", "2",
+            "--bound", "2", "--spin", "0",
+        ]
+        src = str(Path(xxzchain.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+        proc = subprocess.run(
+            [sys.executable, "-m", "xxzchain.cli"] + argv,
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)
 
     def test_missing_velocity(self, capsys):
         code, _, err = _run(

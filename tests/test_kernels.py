@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from xxzchain.errors import ContourError, PoleProximityError, ValidationError
 from xxzchain.kernels import (
+    PHASE_POLE_DIST,
+    POLE_ERROR_DIST,
     KernelParams,
+    _near_pole,
     _pole_distance,
     bare_phase,
     bare_phase_1,
@@ -101,6 +104,48 @@ class TestRealPoleGuard:
                 want = np.min(_pole_distance(np.asarray(lam, dtype=complex), ehat))
                 got = np.min(_pole_distance(lam, ehat))
                 assert abs(got - want) <= 1e-15, (eta, got, want)
+
+
+class TestNearPole:
+    ETAS = [1e-9, 1e-3, 0.9, pi / 2 - 1e-9, pi / 2, pi / 2 + 1e-9, pi - 1e-3, pi - 1e-9]
+    NAN, INF = float("nan"), float("inf")
+    NON_FINITE = [complex(NAN, 0), complex(0, NAN), complex(INF, 0),
+                  complex(0, INF), complex(INF, NAN), complex(NAN, INF)]
+
+    @staticmethod
+    def _cases(rng, ehat, tol):
+        """Carrier-line matrices x_i - x_j + i b, some with planted entries."""
+        x = np.sort(rng.uniform(-0.8, 0.8, 32))
+        for b in (0.0, 0.3, ehat, -ehat, pi - ehat, ehat + 2.7):
+            yield x[:, None] - x[None, :] + 1j * b
+        base = rng.uniform(-3, 3, (40, 32)) + 1j * rng.uniform(-2, 2, (40, 32))
+        for k in (0, 1, -1):
+            pole = 1j * (ehat + pi * k)
+            for off in (tol / 2, 2 * tol, 1j * tol / 2, -2j * tol):
+                lam = base.copy()
+                lam[7, 11] = pole + off
+                yield lam
+                for bad in TestNearPole.NON_FINITE:
+                    with_bad = lam.copy()
+                    with_bad[3, 5] = bad
+                    yield with_bad
+        yield complex(0.0, ehat) + tol / 2
+        yield np.array(1j * ehat + 2 * tol)
+        yield rng.uniform(-3, 3, 64)
+        yield 0.4
+
+    @pytest.mark.parametrize("tol", [POLE_ERROR_DIST, PHASE_POLE_DIST])
+    def test_matches_min_distance(self, tol):
+        rng = np.random.default_rng(47)
+        seen = set()
+        with np.errstate(invalid="ignore"):
+            for eta in self.ETAS:
+                ehat = w_hat(eta)
+                for lam in self._cases(rng, ehat, tol):
+                    want = bool(np.min(_pole_distance(lam, ehat)) < tol)
+                    assert _near_pole(lam, ehat, tol) == want, (eta, lam)
+                    seen.add(want)
+        assert seen == {True, False}
 
 
 class TestKernelKr:

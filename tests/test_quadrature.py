@@ -8,6 +8,7 @@ from scipy.special import roots_legendre
 
 from xxzchain.errors import BracketError, SolverError, ValidationError
 from xxzchain.quadrature import (
+    NystromLU,
     Polyline,
     _legendre_rule,
     barnes_g,
@@ -126,6 +127,13 @@ class TestFredholm:
         quad = f.quad
         integral = np.sum(quad.weights * c * np.cos(z - quad.nodes) * f.values)
         assert abs(f(z) + integral - np.cos(z)) < 1e-12
+
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_non_finite_driving_is_solver_error(self, n):
+        lu = NystromLU(lambda x, y: 0.3 * np.cos(x - y), gauss_legendre(n, -1.0, 1.0), "cos")
+        for g in (np.full(n, np.nan), np.full(n, np.inf)):
+            with pytest.raises(SolverError):
+                lu.solve(g)
 
     def test_singular_matrix_reported(self):
         # kernel -delta-like rank-one construction making I + KW singular
