@@ -539,7 +539,7 @@ def _saddle_u(ds, r: int, omega: complex, v: float) -> complex:
 
 def _momentum_slope_sign(ds, r: int, omega: complex) -> int:
     slope = _saddle_value(
-        ds, ("slope", r, omega), lambda: np.asarray(ds.p_r_d1(omega, r)).item()
+        ds, ("slope", r, omega), lambda: np.asarray(ds.p_r_d(omega, r)).item()
     )
     if abs(slope.imag) > 1e-6 * max(1.0, abs(slope)):
         raise ValidationError(

@@ -19,7 +19,7 @@ from math import pi
 
 from . import contours
 from .assembler import assemble_term, enumerate_configs, rank_terms
-from .dressed import ModelParams, magnetization_density, solve_dressed_set
+from .dressed import ModelParams, solve_dressed_set
 from .errors import NumericalError, ValidationError, XXZError
 from .saddles import classify_structure, fermi_velocity, v_infinity
 from .strings import catalog
@@ -119,7 +119,9 @@ def _to_csv(rows) -> str:
         rows = [rows]
     if not isinstance(rows, list) or not rows or not isinstance(rows[0], dict):
         raise ValidationError("csv output requires a non-empty table of records")
-    header = list(rows[0].keys())
+    # rows of one table may differ in their keys (verify mixes identity
+    # reports and reference integrals): every key gets a column, in first-seen order
+    header = list(dict.fromkeys(k for row in rows for k in row))
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter=",", lineterminator="\n")
     writer.writerow(header)
@@ -251,7 +253,7 @@ def _cmd_solve(opts):
         "v_F": fermi_velocity(ds),
         "v_inf": v_infinity(ds),
         "Z_q": float(ds.Z(ds.q)),
-        "D": magnetization_density(ds),
+        "D": ds.magnetization_density(),
     }
 
 

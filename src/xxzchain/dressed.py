@@ -4,21 +4,21 @@ Everything is driven by one Nystrom discretization of the convolution
 operator with kernel K(.|zeta); the dressed energy, momentum derivative,
 charge and phases are different driving terms against the same LU-factored
 matrix. Off-segment (including complex) values come from the defining
-equations themselves.
+equations themselves: `DressedSet.eps_r` and `DressedSet.p_r_d` give the
+k-th lam-derivative of eps_r and p_r for every string length r through one
+extension of those equations, of which r = 1 is the ordinary case.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from math import cos, pi, sin
-from typing import Callable
 
 import numpy as np
 
 from .errors import (
     BracketError,
     ConsistencyError,
-    InvalidStringError,
     PoleProximityError,
     ValidationError,
 )
@@ -28,8 +28,7 @@ from .kernels import (
     bare_phase,
     bare_phase_1,
     kernel_k,
-    kernel_k_d1,
-    kernel_k_d2,
+    kernel_kr,
     string_combinatorics,
     w_hat,
 )
@@ -186,91 +185,44 @@ class DressedSet:
                 )
         return find_root_bracketed(endpoint, lo, hi, tol=1e-12)
 
-    # -- pole guard ----------------------------------------------------------
+    # -- dressed energies and momentum derivatives ---------------------------
 
-    def _guard(self, lam, etas):
+    def _extend(self, lam, r: int, k: int, const, coef: float, values):
+        """const + coef K^(k)(lam|r zeta/2) - sum_j w_j K_r^(k)(lam - x_j) values_j.
+
+        The defining equation of eps_r (values eps_1) and p_r' (values p_1'),
+        differentiated k times, evaluated on and off the Fermi segment. For
+        r = 1 it is the Nystrom interpolant itself, since K_1 = K(.|zeta).
+        Raises PoleProximityError where Im lam comes within
+        EXTENSION_POLE_GUARD of a pole line of K_r.
+        """
         # an eta with sin(2 eta) = 0 makes the kernel vanish identically: no pole
-        etas = [e for e in etas if abs(sin(2 * e)) > 1e-15]
-        if not etas:
-            return
-        ims = np.unique(np.imag(np.atleast_1d(np.asarray(lam, dtype=complex))))
-        for im in ims.tolist():
-            if min(_pole_line_distance(im, w_hat(e)) for e in etas) < EXTENSION_POLE_GUARD:
-                raise PoleProximityError(
-                    f"evaluation at Im(lam)={im} within {EXTENSION_POLE_GUARD} "
-                    "of a kernel pole line"
-                )
+        etas = [e for e in (self.zeta * (r + 1) / 2, self.zeta * (r - 1) / 2)
+                if abs(sin(2 * e)) > 1e-15]
+        if etas:
+            ims = np.unique(np.imag(np.atleast_1d(np.asarray(lam, dtype=complex))))
+            for im in ims.tolist():
+                if min(_pole_line_distance(im, w_hat(e)) for e in etas) < EXTENSION_POLE_GUARD:
+                    raise PoleProximityError(
+                        f"evaluation at Im(lam)={im} within {EXTENSION_POLE_GUARD} "
+                        "of a kernel pole line"
+                    )
+        lam = np.asarray(lam)
+        kmat = kernel_kr(lam.reshape(-1, 1) - self.quad.nodes, r, self.zeta, k)
+        conv = (kmat @ (self.quad.weights * values)).reshape(lam.shape)
+        return const + coef * kernel_k(lam, r * self.zeta / 2, k) - conv
 
-    # -- dressed energies ----------------------------------------------------
-
-    def eps_r(self, lam, r: int = 1):
-        """Dressed energy of the r-string, evaluable on and off its carrier line."""
-        lam = np.asarray(lam, dtype=complex)
-        if r == 1:
-            self._guard(lam, [self.zeta])
-            return self.eps1(lam)
-        etas = [self.zeta * (r + 1) / 2, self.zeta * (r - 1) / 2]
-        self._guard(lam, etas)
+    def eps_r(self, lam, r: int = 1, k: int = 0):
+        """k-th lam-derivative of the dressed energy of the r-string,
+        evaluable on and off its carrier line."""
         c = 4 * pi * self.J * sin(self.zeta)
-        conv = self._convolve_kernel_r(lam, r, kernel_k, self.eps1.values)
-        return r * self.h - c * kernel_k(lam, r * self.zeta / 2) - conv
+        return self._extend(lam, r, k, r * self.h if k == 0 else 0, -c, self.eps1.values)
 
-    def eps_r_d1(self, lam, r: int = 1):
-        c = 4 * pi * self.J * sin(self.zeta)
-        if r == 1:
-            self._guard(lam, [self.zeta])
-            return self.eps1.derivative(
-                lam,
-                kernel_dx=lambda l, m: kernel_k_d1(l - m, self.zeta),
-                driving_dx=lambda l: -c * kernel_k_d1(l, self.zeta / 2),
-            )
-        self._guard(lam, [self.zeta * (r + 1) / 2, self.zeta * (r - 1) / 2])
-        conv = self._convolve_kernel_r(lam, r, kernel_k_d1, self.eps1.values)
-        return -c * kernel_k_d1(lam, r * self.zeta / 2) - conv
-
-    def eps_r_d2(self, lam, r: int = 1):
-        c = 4 * pi * self.J * sin(self.zeta)
-        if r == 1:
-            self._guard(lam, [self.zeta])
-            return self.eps1.derivative(
-                lam,
-                kernel_dx=lambda l, m: kernel_k_d2(l - m, self.zeta),
-                driving_dx=lambda l: -c * kernel_k_d2(l, self.zeta / 2),
-            )
-        self._guard(lam, [self.zeta * (r + 1) / 2, self.zeta * (r - 1) / 2])
-        conv = self._convolve_kernel_r(lam, r, kernel_k_d2, self.eps1.values)
-        return -c * kernel_k_d2(lam, r * self.zeta / 2) - conv
-
-    def _convolve_kernel_r(self, lam, r, kfun, values):
-        """sum_j w_j K_r(lam - x_j) values_j with the requested kernel derivative."""
-        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        diff = lam[:, None] - self.quad.nodes[None, :]
-        kmat = kfun(diff, self.zeta * (r + 1) / 2) + kfun(diff, self.zeta * (r - 1) / 2)
-        out = kmat @ (self.quad.weights * values)
-        return out if out.shape != (1,) else out[0]
-
-    # -- dressed momenta -----------------------------------------------------
-
-    def p_r_d1(self, lam, r: int = 1):
-        """d/dlam of the dressed momentum p_r."""
-        if r == 1:
-            self._guard(lam, [self.zeta])
-            return self.p1prime(lam)
-        self._guard(lam, [self.zeta * (r + 1) / 2, self.zeta * (r - 1) / 2])
-        conv = self._convolve_kernel_r(lam, r, kernel_k, self.p1prime.values)
-        return 2 * pi * kernel_k(lam, r * self.zeta / 2) - conv
-
-    def p_r_d2(self, lam, r: int = 1):
-        if r == 1:
-            self._guard(lam, [self.zeta])
-            return self.p1prime.derivative(
-                lam,
-                kernel_dx=lambda l, m: kernel_k_d1(l - m, self.zeta),
-                driving_dx=lambda l: 2 * pi * kernel_k_d1(l, self.zeta / 2),
-            )
-        self._guard(lam, [self.zeta * (r + 1) / 2, self.zeta * (r - 1) / 2])
-        conv = self._convolve_kernel_r(lam, r, kernel_k_d1, self.p1prime.values)
-        return 2 * pi * kernel_k_d1(lam, r * self.zeta / 2) - conv
+    def p_r_d(self, lam, r: int = 1, k: int = 1):
+        """k-th lam-derivative (k >= 1) of the dressed momentum p_r."""
+        if k < 1:
+            raise ValidationError(f"p_r_d needs a derivative order k >= 1, got {k}")
+        return self._extend(lam, r, k - 1, 0, 2 * pi, self.p1prime.values)
 
     @staticmethod
     def _reduce_periodic(lam: complex) -> complex:
@@ -361,9 +313,6 @@ class DressedSet:
         val = gf(lam)
         return val
 
-    def dressed_charge(self) -> GridFunction:
-        return self.Z
-
     def magnetization_density(self) -> float:
         """D = p_F / pi, cross-checked against the root-density integral."""
         d1 = self.p_F / pi
@@ -391,34 +340,3 @@ def solve_dressed_energy(params: ModelParams, Q: float) -> GridFunction:
     driving = lambda l: h - c * kernel_k(l, zeta / 2)
     vals = disc.solve(np.asarray(driving(disc.quad.nodes), dtype=float))
     return disc.grid_function(vals, driving, "dressed-energy")
-
-
-def _require_string(ds: DressedSet, r: int):
-    if r >= 2:
-        from .strings import string_exists
-
-        spec = string_exists(r, ds.zeta)
-        if not spec.exists:
-            raise InvalidStringError(f"no {r}-string exists at zeta = {ds.zeta}")
-
-
-def dressed_energy_r(ds: DressedSet, r: int) -> Callable:
-    _require_string(ds, r)
-    return lambda lam: ds.eps_r(lam, r)
-
-
-def dressed_momentum(ds: DressedSet, r: int) -> tuple[Callable, float]:
-    _require_string(ds, r)
-    return (lambda lam: ds.p_r(lam, r)), ds.p_F
-
-
-def dressed_phase(ds: DressedSet, r: int, mu) -> GridFunction:
-    return ds.dressed_phase(r, mu)
-
-
-def dressed_charge(ds: DressedSet) -> GridFunction:
-    return ds.dressed_charge()
-
-
-def magnetization_density(ds: DressedSet) -> float:
-    return ds.magnetization_density()

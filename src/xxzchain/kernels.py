@@ -65,46 +65,34 @@ def _near_pole(lam, eta_hat: float, tol: float) -> bool:
     return bool(np.min(_pole_distance(lam, eta_hat)) < tol)
 
 
-def kernel_k(lam, eta: float):
-    """The kernel K(lam|eta); i pi periodic and even in lam."""
+def kernel_k(lam, eta: float, k: int = 0):
+    """The kernel K(lam|eta) (k = 0) or its k-th lam-derivative (k = 1, 2);
+    i pi periodic in lam, even for k = 0 and 2, odd for k = 1."""
+    if k not in (0, 1, 2):
+        raise ValidationError(f"kernel derivative order must be 0, 1 or 2, got {k}")
     lam = np.asarray(lam)
     s2 = sin(2 * eta)
     if abs(s2) < _ETA_ZERO_TOL:
         return np.zeros(lam.shape) if lam.shape else 0.0
     if _near_pole(lam, w_hat(eta), POLE_ERROR_DIST):
         raise PoleProximityError(f"kernel_k sampled within {POLE_ERROR_DIST} of a pole")
-    out = s2 / (pi * (np.cosh(2 * lam) - np.cos(2 * eta)))
-    return out
-
-
-def kernel_k_d1(lam, eta: float):
-    """d/dlam of K(lam|eta)."""
-    lam = np.asarray(lam)
-    s2 = sin(2 * eta)
-    if abs(s2) < _ETA_ZERO_TOL:
-        return np.zeros(lam.shape) if lam.shape else 0.0
-    if _near_pole(lam, w_hat(eta), POLE_ERROR_DIST):
-        raise PoleProximityError("kernel_k_d1 sampled at a pole")
+    if k == 0:
+        return s2 / (pi * (np.cosh(2 * lam) - np.cos(2 * eta)))
     d = np.cosh(2 * lam) - np.cos(2 * eta)
-    return -2 * s2 * np.sinh(2 * lam) / (pi * d * d)
-
-
-def kernel_k_d2(lam, eta: float):
-    """d^2/dlam^2 of K(lam|eta)."""
-    lam = np.asarray(lam)
-    s2 = sin(2 * eta)
-    if abs(s2) < _ETA_ZERO_TOL:
-        return np.zeros(lam.shape) if lam.shape else 0.0
-    if _near_pole(lam, w_hat(eta), POLE_ERROR_DIST):
-        raise PoleProximityError("kernel_k_d2 sampled at a pole")
-    d = np.cosh(2 * lam) - np.cos(2 * eta)
+    if k == 1:
+        return -2 * s2 * np.sinh(2 * lam) / (pi * d * d)
     sh = np.sinh(2 * lam)
     return s2 * (-4 * np.cosh(2 * lam) / (pi * d * d) + 8 * sh * sh / (pi * d * d * d))
 
 
-def kernel_kr(lam, r: int, zeta: float):
-    """Bound-state kernel K_r; for r = 1 the eta = 0 summand vanishes."""
-    return kernel_k(lam, zeta * (r + 1) / 2) + kernel_k(lam, zeta * (r - 1) / 2)
+def kernel_kr(lam, r: int, zeta: float, k: int = 0):
+    """k-th lam-derivative of the bound-state kernel
+    K_r = K(.|zeta (r+1)/2) + K(.|zeta (r-1)/2); for r = 1 the second summand
+    is K(.|0) = 0 and is not built."""
+    hi = kernel_k(lam, zeta * (r + 1) / 2, k)
+    if r == 1:
+        return hi
+    return hi + kernel_k(lam, zeta * (r - 1) / 2, k)
 
 
 @dataclass(frozen=True)

@@ -107,19 +107,6 @@ class GridFunction:
         out = self.driving(pts) - kmat @ (self.quad.weights * self.values)
         return out[0] if scalar else out
 
-    def derivative(self, lam, kernel_dx: Callable, driving_dx: Callable):
-        """d/dlam of the interpolant, given the lam-derivatives of kernel and driving."""
-        lam = np.asarray(lam)
-        scalar = lam.ndim == 0
-        pts = np.atleast_1d(lam)
-        kmat = kernel_dx(pts[:, None], self.quad.nodes[None, :])
-        out = driving_dx(pts) - kmat @ (self.quad.weights * self.values)
-        return out[0] if scalar else out
-
-    def node_integral(self) -> complex:
-        """int_{-Q}^{Q} f(mu) dmu by the native rule."""
-        return np.sum(self.quad.weights * self.values)
-
 
 class NystromLU:
     """The Nystrom matrix A = I + K W of a kernel on a quadrature rule,
@@ -163,24 +150,6 @@ class NystromLU:
         return GridFunction(
             self.quad, values, driving, self.kernel, driving_id, self.kernel_id
         )
-
-
-def solve_fredholm2(
-    kernel: Callable,
-    driving: Callable,
-    Q: float,
-    order: int = DEFAULT_ORDER,
-    driving_id: str = "driving",
-    kernel_id: str = "kernel",
-) -> GridFunction:
-    """Solve f + int_{-Q}^{Q} K(.,mu) f(mu) dmu = g on a `NystromLU`."""
-    if Q <= 0:
-        raise ValidationError(f"Q must be positive, got {Q}")
-    lu = NystromLU(kernel, gauss_legendre(order, -Q, Q), kernel_id)
-    g = np.asarray(driving(lu.quad.nodes), dtype=lu.a_mat.dtype)
-    if g.ndim == 0:
-        g = np.full(order, g)
-    return lu.grid_function(lu.solve(g), driving, driving_id)
 
 
 def find_root_bracketed(f: Callable, a: float, b: float, tol: float = 1e-12) -> float:

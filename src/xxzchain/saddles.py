@@ -1,5 +1,8 @@
 """Phase functions u_r(lam, v) = p_r(lam) - eps_r(lam)/v and their saddle points.
 
+`u_r(lam, v, r, ds, k)` is the k-th lam-derivative (k = 0, 1, 2), built from
+`DressedSet.p_r`, `DressedSet.p_r_d` and `DressedSet.eps_r` at the same order.
+
 Species are labelled by the string length r >= 1, with the convention that
 zeros of u_1' on the real line are reported as species 0 (hole branch) and
 zeros on R + i pi/2 as species 1. Characteristic velocities: the Fermi
@@ -68,36 +71,25 @@ def _carrier_im(r: int, ds: DressedSet) -> float:
     return spec.line_im
 
 
-def u_r(lam, v: float, r: int, ds: DressedSet):
-    """Phase function p_r(lam) - eps_r(lam)/v."""
+def u_r(lam, v: float, r: int, ds: DressedSet, k: int = 0):
+    """k-th lam-derivative of the phase function p_r(lam) - eps_r(lam)/v."""
     if v == 0:
         raise ValidationError("v must be nonzero")
-    return ds.p_r(lam, r) - np.asarray(ds.eps_r(lam, r)) / v
-
-
-def u_r_d1(lam, v: float, r: int, ds: DressedSet):
-    if v == 0:
-        raise ValidationError("v must be nonzero")
-    return np.asarray(ds.p_r_d1(lam, r)) - np.asarray(ds.eps_r_d1(lam, r)) / v
-
-
-def u_r_d2(lam, v: float, r: int, ds: DressedSet):
-    if v == 0:
-        raise ValidationError("v must be nonzero")
-    return np.asarray(ds.p_r_d2(lam, r)) - np.asarray(ds.eps_r_d2(lam, r)) / v
+    p = ds.p_r(lam, r) if k == 0 else np.asarray(ds.p_r_d(lam, r, k))
+    return p - np.asarray(ds.eps_r(lam, r, k)) / v
 
 
 def fermi_velocity(ds: DressedSet) -> float:
     """v_F = eps_1'(q) / p_1'(q)."""
     return float(
-        complex(ds.eps_r_d1(ds.q, 1)).real / complex(ds.p_r_d1(ds.q, 1)).real
+        complex(ds.eps_r(ds.q, 1, 1)).real / complex(ds.p_r_d(ds.q, 1)).real
     )
 
 
 def v_infinity(ds: DressedSet) -> float:
     """Common large-|lam| limit of the excitation velocities, two routes."""
     w, x = ds.quad.weights, ds.quad.nodes
-    epsp = np.real(np.asarray(ds.eps_r_d1(x, 1)))
+    epsp = np.real(np.asarray(ds.eps_r(x, 1, 1)))
     p1p = ds.p1prime.values
     num = 8 * pi * ds.J * math.sin(ds.zeta) - 2 * math.cos(ds.zeta) * np.sum(
         w * np.sinh(2 * x) * epsp
@@ -107,7 +99,7 @@ def v_infinity(ds: DressedSet) -> float:
 
     probe = SCAN_HALF_WIDTH
     ratio = float(
-        complex(ds.eps_r_d1(probe, 1)).real / complex(ds.p_r_d1(probe, 1)).real
+        complex(ds.eps_r(probe, 1, 1)).real / complex(ds.p_r_d(probe, 1)).real
     )
     if abs(formula - ratio) > 1e-6 * abs(formula):
         raise ConsistencyError(
@@ -143,7 +135,7 @@ def _line_curves(ds: DressedSet, r: int, line_im: float):
     if hit is None:
         grid = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)
         lam = grid + 1j * line_im
-        hit = (grid, np.asarray(ds.p_r_d1(lam, r)), np.asarray(ds.eps_r_d1(lam, r)))
+        hit = (grid, np.asarray(ds.p_r_d(lam, r)), np.asarray(ds.eps_r(lam, r, 1)))
         for arr in hit:
             arr.flags.writeable = False
         ds._line_cache[key] = hit
@@ -151,7 +143,7 @@ def _line_curves(ds: DressedSet, r: int, line_im: float):
 
 
 def _scan(ds: DressedSet, r: int, v: float, line_im: float):
-    """Scan grid and Re u_r' on it: the expression u_r_d1 evaluates, bit for bit."""
+    """Scan grid and Re u_r' on it: the expression u_r(..., k=1) evaluates, bit for bit."""
     grid, pd1, ed1 = _line_curves(ds, r, line_im)
     return grid, np.real(pd1 - ed1 / v)
 
@@ -163,7 +155,7 @@ def _line_zeros(ds: DressedSet, r: int, v: float, line_im: float) -> list[float]
     sign = np.sign(vals)
     for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
         root = find_root_bracketed(
-            lambda x: float(np.real(u_r_d1(x + 1j * line_im, v, r, ds))),
+            lambda x: float(np.real(u_r(x + 1j * line_im, v, r, ds, 1))),
             float(grid[i]),
             float(grid[i + 1]),
         )
@@ -174,8 +166,8 @@ def _line_zeros(ds: DressedSet, r: int, v: float, line_im: float) -> list[float]
 def _make_saddle(ds: DressedSet, species: int, r: int, x: float, v: float,
                  line_im: float) -> SaddlePoint:
     omega = complex(x, line_im)
-    upp = float(np.real(u_r_d2(omega, v, r, ds)))
-    up = abs(complex(u_r_d1(omega, v, r, ds)))
+    upp = float(np.real(u_r(omega, v, r, ds, 2)))
+    up = abs(complex(u_r(omega, v, r, ds, 1)))
     scale = math.sqrt(abs(upp) / 2)
     local = max(abs(upp), DEGENERATE_CURVATURE)
     if up > 1e-9 * local * max(1.0, abs(x)):
@@ -319,7 +311,7 @@ def sign_im_u_at_infinity(r: int, v: float, y: float, side: int,
     for a, b in zip(edges, edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         pts = side * (mid + half * nodes) + 1j * y
-        vals = np.asarray(u_r_d1(pts, v, species, ds))
+        vals = np.asarray(u_r(pts, v, species, ds, 1))
         tail += side * half * np.sum(wts * vals)
     im = -float(np.imag(tail))
     if abs(im) < 1e-30:

@@ -124,7 +124,7 @@ def momentum_sign(r: int, ds) -> int:
         carrier_im = spec.line_im
     samples = []
     for x in (0.31, 0.87, 1.53, 2.24, 3.12):
-        val = ds.p_r_d1(x + 1j * carrier_im, r)
+        val = ds.p_r_d(x + 1j * carrier_im, r)
         val = complex(val)
         if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
             raise SignInconsistencyError(

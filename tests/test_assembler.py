@@ -351,7 +351,7 @@ class TestSaddleMemo:
     def test_one_evaluation_per_distinct_input(self, monkeypatch):
         ds = solve_dressed_set(ModelParams(**self.POINT))
         structure, configs = self._table(ds)
-        calls = {name: collections.Counter() for name in ("phi", "p_r_d1", "p_r")}
+        calls = {name: collections.Counter() for name in ("phi", "p_r_d", "p_r")}
 
         def counting(name, key):
             original = getattr(DressedSet, name)
@@ -363,7 +363,7 @@ class TestSaddleMemo:
             monkeypatch.setattr(DressedSet, name, wrapper)
 
         counting("phi", lambda r, lam, mu: (r, lam, complex(mu)))
-        counting("p_r_d1", lambda lam, r: (r, complex(lam)))
+        counting("p_r_d", lambda lam, r: (r, complex(lam)))
         counting("p_r", lambda lam, r: (r, complex(lam)))
         for cfg in configs:
             assemble_term(cfg, self.V, ds, structure)

@@ -279,6 +279,30 @@ class TestVerifyDispatch:
         assert code == 0
         assert all(row["pass"] for row in json.loads(out))
 
+    def test_csv_header_is_the_union_of_row_keys(self, capsys, monkeypatch):
+        rows = [
+            {"identity": "n2", "label": "w1", "rel_diff": 1e-9},
+            {"kind": "gaussian", "n": 2, "computed": 1.5, "closed_form": 1.5,
+             "rel_diff": 1e-12},
+        ]
+        monkeypatch.setattr(
+            cli.contours, "run_verification_suite", lambda slow=False: [dict(r) for r in rows]
+        )
+        code, out, _ = _run(capsys, ["verify", "--format", "csv"])
+        assert code == 0
+        header, *table = [line.split(",") for line in out.splitlines()]
+        assert header == [
+            "identity", "label", "rel_diff", "pass", "kind", "n", "computed", "closed_form",
+        ]
+        got = [dict(zip(header, cells)) for cells in table]
+        assert [float(row.pop("rel_diff")) for row in got] == [1e-9, 1e-12]
+        assert got == [
+            {"identity": "n2", "label": "w1", "pass": "true",
+             "kind": "", "n": "", "computed": "", "closed_form": ""},
+            {"identity": "", "label": "", "pass": "true",
+             "kind": "gaussian", "n": "2", "computed": "1.5", "closed_form": "1.5"},
+        ]
+
     def test_failing_suite_exits_3(self, capsys, monkeypatch):
         rows = [{"identity": "n2", "rel_diff": 1e-3, "params": {}}]
         monkeypatch.setattr(

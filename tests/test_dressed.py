@@ -7,14 +7,11 @@ import pytest
 from xxzchain import dressed
 from xxzchain.dressed import (
     ModelParams,
-    dressed_energy_r,
-    dressed_momentum,
     h_critical,
     solve_dressed_energy,
     solve_dressed_set,
 )
 from xxzchain.errors import (
-    InvalidStringError,
     PoleProximityError,
     SolverError,
     ValidationError,
@@ -53,7 +50,7 @@ class TestFreeFermion:
     def test_momentum_derivative_closed_form(self, ff):
         lam = np.linspace(-2, 2, 17)
         expected = 2 / np.cosh(2 * lam)
-        got = np.array([ff.p_r_d1(x, 1) for x in lam])
+        got = np.array([ff.p_r_d(x, 1) for x in lam])
         assert np.max(np.abs(got - expected)) < 1e-9
 
     def test_momentum_closed_form(self, ff):
@@ -64,8 +61,8 @@ class TestFreeFermion:
         assert abs(ff.p_F - pi / 3) < 1e-10
 
     def test_charge_is_unity(self, ff):
-        assert np.max(np.abs(ff.dressed_charge().values - 1.0)) < 1e-12
-        assert abs(ff.dressed_charge()(0.123) - 1.0) < 1e-12
+        assert np.max(np.abs(ff.Z.values - 1.0)) < 1e-12
+        assert abs(ff.Z(0.123) - 1.0) < 1e-12
 
     def test_magnetization_third(self, ff):
         assert abs(ff.magnetization_density() - 1 / 3) < 1e-10
@@ -74,13 +71,13 @@ class TestFreeFermion:
         # K_2 vanishes identically at zeta = pi/2, so eps_2 = 2h
         for x in [0.0, 0.9, -1.4]:
             assert abs(ff.eps_r(x, 2) - 4.0) < 1e-12
-        assert abs(ff.p_r_d1(0.5, 2)) < 1e-14
+        assert abs(ff.p_r_d(0.5, 2)) < 1e-14
 
     def test_second_derivative_closed_form(self, ff):
         # p''_1 = -4 sinh(2x)/cosh^2(2x)
         x = 0.6
         expected = -4 * math.sinh(2 * x) / math.cosh(2 * x) ** 2
-        assert abs(ff.p_r_d2(x, 1) - expected) < 1e-8
+        assert abs(ff.p_r_d(x, 1, 2) - expected) < 1e-8
 
 
 class TestSymmetries:
@@ -103,9 +100,45 @@ class TestSymmetries:
         h = 1e-5
         for r, x in [(1, 0.11), (2, 0.6), (3, -0.8)]:
             fd = (ds.eps_r(x + h, r) - ds.eps_r(x - h, r)) / (2 * h)
-            assert abs(ds.eps_r_d1(x, r) - fd) < 1e-7
+            assert abs(ds.eps_r(x, r, 1) - fd) < 1e-7
             fdp = (ds.p_r(x + h, r) - ds.p_r(x - h, r)) / (2 * h)
-            assert abs(ds.p_r_d1(x, r) - fdp) < 1e-6
+            assert abs(ds.p_r_d(x, r) - fdp) < 1e-6
+
+
+class TestDerivativeOrders:
+    # 2-strings on Im lam = 0 and 3-strings on Im lam = pi/2 at this point
+    KEY = (0.5365, 0.2)
+    LINES = [(1, 0.0), (1, pi / 2), (2, 0.0), (3, pi / 2)]
+
+    @pytest.mark.parametrize("r,line_im", LINES)
+    def test_second_derivatives_vs_finite_difference(self, sets, r, line_im):
+        # central differences of the k = 1 values with step 1e-5; the error is
+        # the O(h^2) truncation, measured at most 1.6e-9 relative to
+        # max(1, |f''|) over these lines and x in [-3, 3], so 1e-8 holds it
+        ds = sets[self.KEY]
+        h = 1e-5
+        for x in np.linspace(-3, 3, 13):
+            z = x + 1j * line_im
+            for f in (lambda l, k: ds.eps_r(l, r, k), lambda l, k: ds.p_r_d(l, r, k)):
+                fd = (f(z + h, 1) - f(z - h, 1)) / (2 * h)
+                want = f(z, 2)
+                assert abs(want - fd) < 1e-8 * max(1.0, abs(want)), (r, x)
+
+    def test_r1_is_the_nystrom_interpolant_bitwise(self, sets):
+        # K_1 = K(.|zeta): the r = 1 extension of the defining equation is the
+        # grid function eps_1 (resp. p_1') itself, bit for bit
+        ds = sets[self.KEY]
+        x = np.linspace(-3, 3, 25)
+        for lam in (x, x + 1j * pi / 2):
+            assert np.array_equal(ds.eps_r(lam, 1), ds.eps1(lam))
+            assert np.array_equal(ds.p_r_d(lam, 1), ds.p1prime(lam))
+
+    def test_order_out_of_range(self, sets):
+        ds = sets[self.KEY]
+        with pytest.raises(ValidationError):
+            ds.p_r_d(0.3, 1, 0)
+        with pytest.raises(ValidationError):
+            ds.eps_r(0.3, 2, 3)
 
 
 class TestIdentities:
@@ -115,7 +148,7 @@ class TestIdentities:
         q = ds.q
         for lam in [-0.7 * q, 0.0, 0.4 * q, q]:
             lhs = ds.phi(1, lam, q) - ds.phi(1, lam, -q) + 1.0
-            rhs = ds.dressed_charge()(lam)
+            rhs = ds.Z(lam)
             assert abs(lhs - rhs) < 1e-8
 
     @pytest.mark.parametrize("key", [(0.5365, 0.2), (0.9065, 0.8), (0.1065, 0.2)])
@@ -123,7 +156,7 @@ class TestIdentities:
         ds = sets[key]
         q = ds.q
         lhs = 1.0 + ds.phi(1, q, q) - ds.phi(1, -q, q)
-        rhs = 1.0 / ds.dressed_charge()(q)
+        rhs = 1.0 / ds.Z(q)
         assert abs(lhs - rhs) < 1e-8
 
 
@@ -177,7 +210,7 @@ class TestGuards:
         with pytest.raises(PoleProximityError):
             ds.eps_r(0.3 + 1j * ds.zeta, 1)
         with pytest.raises(PoleProximityError):
-            ds.eps_r_d1(0.3 + 1j * (2 * ds.zeta - pi), 3)
+            ds.eps_r(0.3 + 1j * (2 * ds.zeta - pi), 3, 1)
 
     def test_ambiguous_momentum_display(self):
         # (r + sigma) zeta / 2 lands exactly on pi/2 for zeta = pi/3, r = 2
@@ -254,17 +287,9 @@ class TestWrappers:
         gf = solve_dressed_energy(params, 1e-6)
         assert abs(gf(0.0) - (1.0 - h_critical(1.0, 0.5365 * pi))) < 1e-5
 
-    def test_dressed_energy_r_requires_string(self, sets):
-        ds = sets[(0.5365, 0.2)]
-        with pytest.raises(InvalidStringError):
-            dressed_energy_r(ds, 4)
-        f = dressed_energy_r(ds, 2)
-        assert abs(f(0.3) - ds.eps_r(0.3, 2)) < 1e-15
-
     def test_dressed_momentum_wrapper(self, sets):
         ds = sets[(0.1065, 0.2)]
-        p1, p_F = dressed_momentum(ds, 1)
-        assert abs(p1(ds.q) - p_F) < 1e-12
+        assert abs(ds.p_r(ds.q, 1) - ds.p_F) < 1e-12
 
 
 class TestSignPatterns:
@@ -283,8 +308,8 @@ class TestSignPatterns:
     def test_p1prime_signs_both_lines(self, sets):
         for ds in sets.values():
             for x in np.linspace(-2, 2, 9):
-                assert complex(ds.p_r_d1(x, 1)).real > 0
-                on_line = complex(ds.p_r_d1(x + 1j * pi / 2, 1))
+                assert complex(ds.p_r_d(x, 1)).real > 0
+                on_line = complex(ds.p_r_d(x + 1j * pi / 2, 1))
                 assert abs(on_line.imag) < 1e-9
                 assert on_line.real < 0
 
@@ -295,13 +320,13 @@ class TestSignPatterns:
 
     def test_charge_even_positive(self, sets):
         for ds in sets.values():
-            z = ds.dressed_charge()
+            z = ds.Z
             assert np.max(np.abs(z.values - z.values[::-1])) < 1e-10
             assert np.min(z.values) > 0
 
     def test_small_q_charge_near_unity(self):
         ds = solve_dressed_set(ModelParams(J=1.0, zeta=0.5365 * pi, q=1e-4))
-        assert abs(ds.dressed_charge()(0.0) - 1.0) < 1e-3
+        assert abs(ds.Z(0.0) - 1.0) < 1e-3
 
     def test_near_critical_q_collapses(self):
         zeta = 0.5365 * pi

@@ -18,8 +18,6 @@ from xxzchain.kernels import (
     bare_phase,
     bare_phase_1,
     kernel_k,
-    kernel_k_d1,
-    kernel_k_d2,
     kernel_kr,
     string_combinatorics,
     w_hat,
@@ -68,11 +66,11 @@ class TestKernelK:
         h = 1e-5
         for lam in [0.3, 0.8 + 0.3j, -1.1 + 0.5j]:
             fd1 = (kernel_k(lam + h, eta) - kernel_k(lam - h, eta)) / (2 * h)
-            assert abs(kernel_k_d1(lam, eta) - fd1) < 1e-8
+            assert abs(kernel_k(lam, eta, 1) - fd1) < 1e-8
             fd2 = (
                 kernel_k(lam + h, eta) - 2 * kernel_k(lam, eta) + kernel_k(lam - h, eta)
             ) / h**2
-            assert abs(kernel_k_d2(lam, eta) - fd2) < 1e-6
+            assert abs(kernel_k(lam, eta, 2) - fd2) < 1e-6
 
 
 class TestRealPoleGuard:
@@ -80,18 +78,22 @@ class TestRealPoleGuard:
     # within pi - eta_hat ~ 3e-13 < POLE_ERROR_DIST of the real axis
     ETA = pi * (1 - 1e-13)
 
-    @pytest.mark.parametrize("fn", [kernel_k, kernel_k_d1, kernel_k_d2])
-    def test_raises_at_real_zero(self, fn):
+    ORDERS = pytest.mark.parametrize(
+        "k", [0, 1, 2], ids=["kernel_k", "kernel_k_d1", "kernel_k_d2"]
+    )
+
+    @ORDERS
+    def test_raises_at_real_zero(self, k):
         assert abs(math.sin(2 * self.ETA)) > 1e-15
         assert pi - w_hat(self.ETA) < 1e-12
         with pytest.raises(PoleProximityError):
-            fn(0.0, self.ETA)
+            kernel_k(0.0, self.ETA, k)
         with pytest.raises(PoleProximityError):
-            fn(np.array([-0.5, 0.0, 0.7]), self.ETA)
+            kernel_k(np.array([-0.5, 0.0, 0.7]), self.ETA, k)
 
-    @pytest.mark.parametrize("fn", [kernel_k, kernel_k_d1, kernel_k_d2])
-    def test_no_raise_away_from_zero(self, fn):
-        vals = fn(np.array([-0.5, -0.1, 0.1, 0.7]), self.ETA)
+    @ORDERS
+    def test_no_raise_away_from_zero(self, k):
+        vals = kernel_k(np.array([-0.5, -0.1, 0.1, 0.7]), self.ETA, k)
         assert np.all(np.isfinite(vals))
 
     def test_real_distance_matches_complex_path(self):
@@ -162,6 +164,19 @@ class TestKernelKr:
         lam = 0.7
         val = kernel_kr(lam, 3, 0.3 * pi)
         assert abs(kernel_kr(-lam, 3, 0.3 * pi) - val) < 1e-14
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_derivative_orders_sum_the_summands(self, k):
+        lam = np.array([0.7 + 0.1j, -0.3, 1.2 + 0.4j])
+        zeta = 0.3 * pi
+        for r in (1, 2, 3):
+            want = kernel_k(lam, zeta * (r + 1) / 2, k) + kernel_k(lam, zeta * (r - 1) / 2, k)
+            assert np.array_equal(kernel_kr(lam, r, zeta, k), want)
+
+    def test_order_out_of_range(self):
+        for k in (-1, 3):
+            with pytest.raises(ValidationError):
+                kernel_k(0.3, 0.4, k)
 
 
 class TestBarePhase:

@@ -15,8 +15,14 @@ from xxzchain.quadrature import (
     find_root_bracketed,
     gauss_legendre,
     integrate_polyline,
-    solve_fredholm2,
 )
+
+
+def solve_fredholm2(kernel, driving, Q, order):
+    """Nystrom solution of f + int_{-Q}^{Q} K(., y) f(y) dy = g on a `NystromLU`."""
+    lu = NystromLU(kernel, gauss_legendre(order, -Q, Q), "kernel")
+    g = np.asarray(driving(lu.quad.nodes), dtype=lu.a_mat.dtype)
+    return lu.grid_function(lu.solve(g), driving, "driving")
 
 
 class TestGaussLegendre:

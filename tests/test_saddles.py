@@ -20,7 +20,6 @@ from xxzchain.saddles import (
     find_saddles,
     sign_im_u_at_infinity,
     u_r,
-    u_r_d1,
     v_infinity,
 )
 from xxzchain.strings import string_exists
@@ -89,7 +88,7 @@ class TestPhaseFunction:
             expected = 2 / math.cosh(2 * x) - (8 / v) * math.sinh(2 * x) / math.cosh(
                 2 * x
             ) ** 2
-            got = complex(np.asarray(u_r_d1(x, v, 1, ff)).item())
+            got = complex(np.asarray(u_r(x, v, 1, ff, 1)).item())
             assert abs(got - expected) < 1e-9
 
     def test_zero_velocity_rejected(self, ff):
@@ -118,7 +117,7 @@ class TestFindSaddles:
         ds = sets[(0.9065, 0.8)]
         vinf = v_infinity(ds)
         for s in find_saddles(1, 0.5 * vinf, ds) + find_saddles(2, 0.5 * vinf, ds):
-            resid = abs(complex(np.asarray(u_r_d1(s.omega, 0.5 * vinf, max(s.r, 1), ds)).item()))
+            resid = abs(complex(np.asarray(u_r(s.omega, 0.5 * vinf, max(s.r, 1), ds, 1)).item()))
             assert resid < 1e-9 * max(abs(s.u_second), 1e-8)
 
     def test_time_like_placement(self, sets):
@@ -239,26 +238,26 @@ class TestCarrierLineMemo:
         for r, line_im in self._lines(ds):
             for v in (0.3 * vinf, 0.8 * vinf, 1.3 * vinf, -0.8 * vinf):
                 grid, vals = saddles._scan(ds, r, v, line_im)
-                want = np.real(u_r_d1(grid + 1j * line_im, v, r, ds))
+                want = np.real(u_r(grid + 1j * line_im, v, r, ds, 1))
                 assert np.array_equal(vals, want), (r, line_im, v / vinf)
 
     def test_one_grid_evaluation_per_line(self, monkeypatch):
         ds = self._fresh()
         calls = []
-        for name in ("p_r_d1", "eps_r_d1"):
+        for name in ("p_r_d", "eps_r"):
             method = getattr(DressedSet, name)
 
-            def counted(self, lam, r=1, _name=name, _method=method):
+            def counted(self, lam, r=1, *k, _name=name, _method=method):
                 if np.size(lam) == saddles.SCAN_POINTS:
                     calls.append((_name, r))
-                return _method(self, lam, r)
+                return _method(self, lam, r, *k)
 
             monkeypatch.setattr(DressedSet, name, counted)
         vinf = v_infinity(ds)
         classify_structure(0.6 * vinf, ds, r_max=2)
         assert sorted(calls) == sorted(
-            [("p_r_d1", 1), ("p_r_d1", 1), ("p_r_d1", 2),
-             ("eps_r_d1", 1), ("eps_r_d1", 1), ("eps_r_d1", 2)]
+            [("p_r_d", 1), ("p_r_d", 1), ("p_r_d", 2),
+             ("eps_r", 1), ("eps_r", 1), ("eps_r", 2)]
         )
         calls.clear()
         classify_structure(0.7 * vinf, ds, r_max=2)
