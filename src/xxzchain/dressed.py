@@ -3,10 +3,12 @@
 Everything is driven by one Nystrom discretization of the convolution
 operator with kernel K(.|zeta); the dressed energy, momentum derivative,
 charge and phases are different driving terms against the same LU-factored
-matrix. Off-segment (including complex) values come from the defining
-equations themselves: `DressedSet.eps_r` and `DressedSet.p_r_d` give the
-k-th lam-derivative of eps_r and p_r for every string length r through one
-extension of those equations, of which r = 1 is the ordinary case.
+matrix. In h mode, the search for the Fermi endpoint q runs before it on the
+even half of that system, since the dressed energy is even. Off-segment
+(including complex) values come from the defining equations themselves:
+`DressedSet.eps_r` and `DressedSet.p_r_d` give the k-th lam-derivative of
+eps_r and p_r for every string length r through one extension of those
+equations, of which r = 1 is the ordinary case.
 """
 from __future__ import annotations
 
@@ -89,7 +91,7 @@ class _Discretization(NystromLU):
         )
 
 
-def _solve_pair(zeta: float, Q: float, J: float, order: int):
+def _solve_pair(zeta: float, Q: float, order: int):
     """Solve the unit-driving (charge-type) and K-driving equations at once."""
     disc = _Discretization(zeta, Q, order)
     x = disc.quad.nodes
@@ -104,6 +106,22 @@ def _endpoint_value(disc: _Discretization, values, driving_at_q) -> float:
     return float(driving_at_q - np.sum(disc.quad.weights * krow * values))
 
 
+def _endpoint_energy(zeta: float, Q: float, order: int, h: float, c: float) -> float:
+    """eps(Q) of the dressed energy solved on [-Q, Q], driving h - c K(.|zeta/2),
+    from the even half of the Nystrom system: the driving term is even and the
+    rule symmetric, so the node values are even."""
+    half = gauss_legendre(order, -Q, Q).even_half()
+    x, w = half.nodes, half.weights
+    lu = NystromLU(
+        lambda l, m: kernel_k(l - m, zeta) + kernel_k(l + m, zeta),
+        half,
+        f"K_even(zeta={zeta:.17g})",
+    )
+    eps = lu.solve(h - c * kernel_k(x, zeta / 2))
+    krow = kernel_k(Q - x, zeta) + kernel_k(Q + x, zeta)
+    return float(h - c * kernel_k(Q, zeta / 2) - np.sum(w * krow * eps))
+
+
 class DressedSet:
     """Solved dressed quantities at fixed (J, zeta, q, h, order)."""
 
@@ -114,7 +132,7 @@ class DressedSet:
 
         if params.q is not None:
             q = float(params.q)
-            disc, z_vals, e_vals = _solve_pair(zeta, q, J, order)
+            disc, z_vals, e_vals = _solve_pair(zeta, q, order)
             zq = _endpoint_value(disc, z_vals, 1.0)
             eq = _endpoint_value(disc, e_vals, kernel_k(q, zeta / 2))
             h = c * eq / zq
@@ -126,7 +144,7 @@ class DressedSet:
         else:
             h = float(params.h)
             q = self._find_q(J, zeta, h, order, c)
-            disc, z_vals, e_vals = _solve_pair(zeta, q, J, order)
+            disc, z_vals, e_vals = _solve_pair(zeta, q, order)
 
         self.J, self.zeta, self.q, self.h = J, zeta, q, h
         self.order = order
@@ -168,22 +186,20 @@ class DressedSet:
             raise BracketError(f"h={h} >= h_c={hc}: no Fermi endpoint exists")
 
         def endpoint(Q):
-            disc, z_vals, e_vals = _solve_pair(zeta, Q, J, order)
-            zq = _endpoint_value(disc, z_vals, 1.0)
-            eq = _endpoint_value(disc, e_vals, kernel_k(Q, zeta / 2))
-            return h * zq - c * eq
+            return _endpoint_energy(zeta, Q, order, h, c)
 
         lo = 1e-6
-        if endpoint(lo) >= 0:
+        f_lo = endpoint(lo)
+        if f_lo >= 0:
             raise BracketError("endpoint dressed energy not negative at q -> 0")
         hi = 1.0
-        while endpoint(hi) < 0:
+        while (f_hi := endpoint(hi)) < 0:
             hi *= 2.0
             if hi > 64.0:
                 raise BracketError(
                     f"no sign change of eps(Q|Q) up to Q=64 (h={h}, h_c={hc})"
                 )
-        return find_root_bracketed(endpoint, lo, hi, tol=1e-12)
+        return find_root_bracketed(endpoint, lo, hi, tol=1e-12, fa=f_lo, fb=f_hi)
 
     # -- dressed energies and momentum derivatives ---------------------------
 

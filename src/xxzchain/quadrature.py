@@ -53,6 +53,28 @@ class Quadrature:
     def integrate(self, f: Callable) -> complex:
         return np.sum(self.weights * f(self.nodes))
 
+    def even_half(self) -> "EvenHalf":
+        """The even half of this rule; the interval must be symmetric about 0."""
+        a, b = self.interval
+        if a != -b:
+            raise ValidationError(f"even half needs a symmetric interval, got ({a}, {b})")
+        m = self.order // 2
+        weights = self.weights[m:].copy()
+        if self.order % 2:
+            weights[0] *= 0.5
+        return EvenHalf(self.nodes[m:], weights)
+
+
+@dataclass(frozen=True)
+class EvenHalf:
+    """The nodes x >= 0 of a rule symmetric about 0, with the node x = 0 of an
+    odd order at half its weight. On even functions the Nystrom system of an
+    even kernel K(x - y) over the full rule is the system of
+    K(x - y) + K(x + y) over these nodes (Atkinson 1997, ch. 4)."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+
 
 @lru_cache(maxsize=None)
 def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -109,18 +131,18 @@ class GridFunction:
 
 
 class NystromLU:
-    """The Nystrom matrix A = I + K W of a kernel on a quadrature rule,
-    LU-factored under the solver contract: the 1-norm condition estimate of
-    LAPACK gecon on the LU (Higham, ACM TOMS 14 (1988) 381) must be finite and
-    at most 1e12, and `solve`, refined once, must leave a residual of at most
-    1e-10 * max(1, max|g|), which a non-finite g or solution never meets;
-    otherwise SolverError is raised."""
+    """The Nystrom matrix A = I + K W of a kernel on a rule (a Quadrature or
+    an EvenHalf), LU-factored under the solver contract: the 1-norm condition
+    estimate of LAPACK gecon on the LU (Higham, ACM TOMS 14 (1988) 381) must be
+    finite and at most 1e12, and `solve`, refined once, must leave a residual
+    of at most 1e-10 * max(1, max|g|), which a non-finite g or solution never
+    meets; otherwise SolverError is raised."""
 
-    def __init__(self, kernel: Callable, quad: Quadrature, kernel_id: str):
+    def __init__(self, kernel: Callable, quad: Quadrature | EvenHalf, kernel_id: str):
         self.kernel, self.quad, self.kernel_id = kernel, quad, kernel_id
         x = quad.nodes
         kmat = np.asarray(kernel(x[:, None], x[None, :]))
-        self.a_mat = np.eye(quad.order, dtype=kmat.dtype) + kmat * quad.weights[None, :]
+        self.a_mat = np.eye(x.size, dtype=kmat.dtype) + kmat * quad.weights[None, :]
         anorm = np.linalg.norm(self.a_mat, 1)
         if not np.isfinite(anorm):
             raise SolverError("Nystrom matrix has non-finite entries")
@@ -152,16 +174,21 @@ class NystromLU:
         )
 
 
-def find_root_bracketed(f: Callable, a: float, b: float, tol: float = 1e-12) -> float:
-    """Brent root of f on [a, b]; requires a sign change."""
-    fa, fb = f(a), f(b)
+def find_root_bracketed(
+    f: Callable, a: float, b: float, tol: float = 1e-12, fa=None, fb=None
+) -> float:
+    """Brent root of f on [a, b]; requires a sign change. The end values fa
+    and fb are used as given when known; either way f runs once per end."""
+    fa = f(a) if fa is None else fa
+    fb = f(b) if fb is None else fb
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
     if fa * fb > 0:
         raise BracketError(f"no sign change on [{a}, {b}]: f(a)={fa:.3e}, f(b)={fb:.3e}")
-    return brentq(f, a, b, xtol=tol)
+    known = {a: fa, b: fb}
+    return brentq(lambda x: known[x] if x in known else f(x), a, b, xtol=tol)
 
 
 def barnes_g(n: int) -> float:

@@ -3,6 +3,7 @@ from math import pi
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from xxzchain import dressed
 from xxzchain.dressed import (
@@ -16,6 +17,8 @@ from xxzchain.errors import (
     SolverError,
     ValidationError,
 )
+from xxzchain.kernels import kernel_k
+from xxzchain.quadrature import NystromLU
 
 # closed-form benchmark: zeta = pi/2, J = 1, h = 2
 FF_Q = 0.5 * math.log(2 + math.sqrt(3))
@@ -251,6 +254,90 @@ class TestConditionEstimate:
             dressed._Discretization(0.4 * pi, Q, 32)
 
 
+def _full_system_q(zeta, h, order):
+    """The h-mode Fermi endpoint by brentq on the full n x n Nystrom system,
+    with the search's bracket and tolerance."""
+    c = 4 * pi * math.sin(zeta)
+
+    def endpoint(Q):
+        disc = dressed._Discretization(zeta, Q, order)
+        eps = disc.solve(h - c * kernel_k(disc.quad.nodes, zeta / 2))
+        return dressed._endpoint_value(disc, eps, h - c * kernel_k(Q, zeta / 2))
+
+    hi = 1.0
+    while endpoint(hi) < 0:
+        hi *= 2.0
+    return brentq(endpoint, 1e-6, hi, xtol=1e-12)
+
+
+class TestEvenHalfSearch:
+    """The h-mode search for q solves the even half of the Nystrom system:
+    the driving term h - c K(.|zeta/2) is even and the rule symmetric.
+
+    It therefore checks the conditioning and residual of the even block only;
+    the odd block is still checked by the final full solve at q. At order 2,
+    zeta = 0.8585 pi, h = 0.038 the search succeeds where the full-system
+    search failed its residual check, and `xxz solve` still exits 3 there,
+    from the final full solve."""
+
+    @staticmethod
+    def _points():
+        rng = np.random.default_rng(14)
+        for order in (2, 3, 4, 7, 33, 128, 256):
+            draws = [(rng.uniform(0.3, 0.8), rng.uniform(0.05, 0.95)) for _ in range(3)]
+            # h near 0 (q ~ 4) and near h_c (q ~ 0.03)
+            for zeta_frac, h_frac in draws + [(0.5365, 1e-3), (0.7123, 0.999)]:
+                zeta = zeta_frac * pi
+                yield zeta, h_frac * h_critical(1.0, zeta), order
+
+    def test_q_matches_full_system(self):
+        # measured worst over these 35 points: 8.5e-16 relative
+        for zeta, h, order in self._points():
+            ds = solve_dressed_set(ModelParams(J=1.0, zeta=zeta, h=h, order=order))
+            ref = _full_system_q(zeta, h, order)
+            assert abs(ds.q - ref) <= 1e-13 * ref, (zeta / pi, h, order)
+
+    def test_one_build_per_distinct_q(self, monkeypatch):
+        zeta = 0.6 * pi
+        h = 0.4 * h_critical(1.0, zeta)
+        c = 4 * pi * math.sin(zeta)
+        qs, builds = [], []
+        endpoint_energy = dressed._endpoint_energy
+        build = NystromLU.__init__
+
+        def traced_endpoint(zeta, Q, *args):
+            qs.append(Q)
+            return endpoint_energy(zeta, Q, *args)
+
+        def traced_build(self, *args):
+            builds.append(args)
+            build(self, *args)
+
+        monkeypatch.setattr(dressed, "_endpoint_energy", traced_endpoint)
+        monkeypatch.setattr(NystromLU, "__init__", traced_build)
+        dressed.DressedSet._find_q(1.0, zeta, h, 128, c)
+        assert len(builds) == len(qs) == len(set(qs))
+
+    def test_singular_even_system_raises(self, monkeypatch):
+        # K = -1/(2Q): the half rule's weights sum to Q, so (I + 2 K W_half) 1 = 0
+        Q = 0.7
+        monkeypatch.setattr(
+            dressed, "kernel_k", lambda lam, eta: np.full(np.shape(lam), -1 / (2 * Q))
+        )
+        for order in (32, 33):
+            with pytest.raises(SolverError, match="ill-conditioned"):
+                dressed._endpoint_energy(0.4 * pi, Q, order, 1.0, 1.0)
+
+    def test_search_passes_where_full_system_residual_fails(self):
+        zeta, h = 0.8585 * pi, 0.038
+        with pytest.raises(SolverError, match="residual"):
+            _full_system_q(zeta, h, 2)
+        c = 4 * pi * math.sin(zeta)
+        q = dressed.DressedSet._find_q(1.0, zeta, h, 2, c)
+        with pytest.raises(SolverError, match="residual"):
+            dressed._solve_pair(zeta, q, 2)
+
+
 class TestSelfConsistency:
     def test_eps2_order_doubling(self):
         zeta = 0.5365 * pi
@@ -265,8 +352,6 @@ class TestSelfConsistency:
         ds = sets[(0.1065, 0.2)]
         z = 0.4 + 0.1j
         c = 4 * pi * ds.J * math.sin(ds.zeta)
-        from xxzchain.kernels import kernel_k
-
         conv = np.sum(
             ds.quad.weights * kernel_k(z - ds.quad.nodes, ds.zeta) * ds.eps1.values
         )

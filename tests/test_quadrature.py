@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
 from xxzchain.errors import BracketError, SolverError, ValidationError
@@ -163,6 +164,29 @@ class TestRootBracketed:
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
             find_root_bracketed(lambda x: x**2 + 1e-3, -1, 1)
+
+    def test_each_point_evaluated_once(self):
+        # brentq is handed the end values of the sign check; the root is the
+        # one brentq finds on its own
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x**3 - 0.2
+
+        root = find_root_bracketed(f, 0.0, 1.0, tol=1e-12)
+        assert len(calls) == len(set(calls))
+        assert root == brentq(lambda x: x**3 - 0.2, 0.0, 1.0, xtol=1e-12)
+
+    def test_known_end_values_are_not_recomputed(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 1
+
+        find_root_bracketed(f, 0.0, 3.0, fa=-1.0, fb=2.0)
+        assert 0.0 not in calls and 3.0 not in calls
 
 
 class TestBarnesG:
