@@ -174,22 +174,16 @@ def phi11(x, zeta: float):
 
 
 def _pair_ratio(X, a: float, b: float):
-    """(X^2 + (a-2) X + 1) / (X^2 + (b-2) X + 1) at X = exp(2x).
+    """Pair weight 1 + (a - b) / (X + 1/X + b - 2) at X = exp(2x).
 
     With sinh(x - i t) sinh(x + i t) = sinh^2 x + sin^2 t and
-    4 sinh^2 x = X + 1/X - 2, every interaction weight below is this ratio
-    for a = 4 sin^2 t_num, b = 4 sin^2 t_den.  Both quadratics are written
-    as (X - 1)^2 + c X, which keeps the double zero at x = 0 accurate.
-    ``X`` is left unchanged.
+    4 sinh^2 x = X + 1/X - 2, every interaction weight below is
+    (4 sinh^2 x + a) / (4 sinh^2 x + b) for a = 4 sin^2 t_num,
+    b = 4 sin^2 t_den, which is this.  Near x = 0 a weight with a = 0 is
+    the difference 1 - b/(b + 4 x^2), so its error there is absolute, about
+    1e-16, not relative to the weight.
     """
-    num = X - 1.0
-    num *= num
-    den = b * X
-    den += num
-    if a:
-        num += a * X
-    num /= den
-    return num
+    return 1.0 + (a - b) / (X + 1.0 / X + (b - 2.0))
 
 
 def _pair20_coeffs(zeta: float) -> tuple[float, float]:
@@ -632,32 +626,36 @@ def j_av_panels(zeta: float, tau_L: int, tau_R: int, A: float, order: int = 24):
 # pole clearance certificates
 
 
-def _segment_point_distance(a: complex, b: complex, p: complex) -> float:
-    """Distance from point p to the straight segment [a, b] (a point if a == b)."""
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
-        return abs(p - a)
-    t = ((p - a) * ab.conjugate()).real / denom
-    t = min(1.0, max(0.0, t))
-    return abs(a + t * ab - p)
-
-
 def certify_clearance(
     contour: ContourSpec,
     poles,
     threshold: float = POLE_CLEARANCE,
     label: str = "",
 ):
-    """Assert every pole stays at least ``threshold`` from the contour."""
-    worst = math.inf
-    worst_pole = None
-    for p in poles:
-        for a, b in contour.segments():
-            d = _segment_point_distance(complex(a), complex(b), complex(p))
-            if d < worst:
-                worst, worst_pole = d, p
+    """Assert every pole stays at least ``threshold`` from the contour.
+
+    Returns the smallest pole-to-segment distance; the error names the first
+    pole, in the order given, that reaches it.
+    """
+    poles = list(poles)
+    segs = [(complex(a), complex(b)) for a, b in contour.segments()]
+    if not poles or not segs:
+        return math.inf
+    a = np.array([s[0] for s in segs])
+    ab = np.array([s[1] - s[0] for s in segs])
+    # |ab|^2 by the scalar abs(ab) ** 2 keeps the result bit-identical to the
+    # scalar pole-then-segment scan of tests/test_contours.py::TestClearance
+    denom = np.array([abs(d) ** 2 for d in ab.tolist()])
+    p = np.array([complex(q) for q in poles])[:, None]
+    pa = p - a
+    num = pa.real * ab.real + pa.imag * ab.imag
+    t = np.clip(num / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
+    foot = a + t * ab - p  # a point segment has ab = 0 and t = 0
+    dist = np.hypot(foot.real, foot.imag)
+    k = int(np.argmin(dist))
+    worst = float(dist.flat[k])
     if worst < threshold:
+        worst_pole = poles[k // len(segs)]
         raise PoleProximityError(
             f"pole {worst_pole} within {worst:.3e} of contour "
             f"{contour.cid}{' (' + label + ')' if label else ''}"
@@ -674,28 +672,65 @@ def _int1(contour: ContourSpec, f) -> complex:
     return complex(np.sum(w * f(nodes)) / (2 * pi))
 
 
+def _pair_factors(nA, nB, b: float):
+    """Factors of Y = X + 1/X + b - 2 at X = exp(2 (nA_i - nB_j)).
+
+    Y is the rank-3 product [u, 1/u, 1] @ [w, 1/w, b - 2]^T with
+    u = exp(2 nA) and w = exp(-2 nB); the pair weight is 1 + (a - b) / Y.
+    """
+    left = np.stack([np.exp(2.0 * nA), np.exp(-2.0 * nA), np.ones(len(nA))], axis=1)
+    right = np.stack([np.exp(-2.0 * nB), np.exp(2.0 * nB), np.full(len(nB), b - 2.0)])
+    return left, right
+
+
 def _pair_matrix(nA, nB, coeffs):
-    """Interaction weights between node sets, from X = exp(2 nA) exp(-2 nB)."""
-    return _pair_ratio(np.exp(2.0 * nA)[:, None] * np.exp(-2.0 * nB)[None, :], *coeffs)
+    """Interaction weights 1 + (a - b) / Y between node sets (see _pair_factors)."""
+    a, b = coeffs
+    left, right = _pair_factors(nA, nB, b)
+    R = left @ right
+    np.reciprocal(R, out=R)
+    R *= a - b
+    R += 1.0
+    return R
 
 
 def _pair_form(nA, vA, nB, vB, coeffs) -> complex:
-    """vA @ R @ vB with R = _pair_matrix(nA, nB), built in row blocks.
+    """vA @ R @ vB with R = _pair_matrix(nA, nB), without forming R.
 
-    Only PAIR_BLOCK_ROWS rows of R exist at a time, so the peak memory grows
-    with len(nB) alone.
+    R = 1 + (a - b) S with S = 1/Y, so the form is the rank-one term
+    (sum vA)(sum vB) plus (a - b) vA @ S @ vB.  S is built PAIR_BLOCK_ROWS
+    rows at a time, each block one rank-3 product and one reciprocal in
+    place, so the peak memory grows with len(nB) alone.  S is even in x: for
+    a node set paired with itself (``nB is nA`` and ``vB is vA``) only the
+    blocks on and right of the diagonal are built, the diagonal ones counted
+    once and the others twice.
     """
+    a, b = coeffs
+    symmetric = nB is nA and vB is vA
+    left, right = _pair_factors(nA, nB, b)
     total = 0.0j
     for i in range(0, len(nA), PAIR_BLOCK_ROWS):
-        blk = slice(i, i + PAIR_BLOCK_ROWS)
-        total += vA[blk] @ _pair_matrix(nA[blk], nB, coeffs) @ vB
-    return total
+        j = i + PAIR_BLOCK_ROWS
+        if symmetric:
+            S = left[i:j] @ right[:, i:]
+            vS = np.concatenate([vA[i:j], 2.0 * vA[j:]])
+        else:
+            S = left[i:j] @ right
+            vS = vB
+        np.reciprocal(S, out=S)
+        total += vA[i:j] @ (S @ vS)
+    return np.sum(vA) * np.sum(vB) + (a - b) * total
 
 
 def _int2_pair(cA: ContourSpec, cB: ContourSpec, J: TestFunctionJ, zeta: float) -> complex:
     nA, wA = cA.discretize()
-    nB, wB = cB.discretize()
-    total = _pair_form(nA, wA * J.g(nA), nB, wB * J.g(nB), _pair20_coeffs(zeta))
+    vA = wA * J.g(nA)
+    if cB is cA:
+        nB, vB = nA, vA
+    else:
+        nB, wB = cB.discretize()
+        vB = wB * J.g(nB)
+    total = _pair_form(nA, vA, nB, vB, _pair20_coeffs(zeta))
     return complex(total / (2 * pi) ** 2)
 
 
@@ -751,8 +786,9 @@ def _validate_common(zeta: float, v: float, v_inf: float, A: float, L: float):
     if A <= 0 or L <= 0 or A > L:
         raise ValidationError("need 0 < A <= L")
     if L > MAX_TRUNCATION:
-        # |Re x| reaches 2L on the contours and the pair weights square
-        # exp(2x), which overflows past L ~ 88; the tails are below 1e-69 there
+        # |Re x| reaches 2L on the contours; the pair weights form exp(2x)
+        # and exp(-2x), finite there up to L ~ 177, but the tails are below
+        # 1e-69 past L = 80, so a longer contour adds nothing
         raise ValidationError(f"need L <= {MAX_TRUNCATION}, got {L}")
     return tau_parameters(v, v_inf)
 
@@ -813,7 +849,8 @@ def eval_identity_n2(
         certify_clearance(c2, red01.poles(), label="2-cluster density")
         certify_clearance(rays, red01.poles(), label="2-cluster rays")
 
-    lhs = 0.5 * _int2_pair(c1, c1, J, zeta) + _int1(c2, red01)
+    cluster = _int1(c2, red01)
+    lhs = 0.5 * _int2_pair(c1, c1, J, zeta) + cluster
 
     def encased(s: float) -> complex:
         outer = contour_c1a(zeta, tau_L, tau_R, A, order, 0.0, q, delta, refine)
@@ -825,7 +862,7 @@ def eval_identity_n2(
 
     vals = [encased(separation * (2**k)) for k in range(levels)]
     rhs = _richardson(vals)
-    rhs += _int1(c2, red01) - 0.5 * s2 * _int1(rays, red01)
+    rhs += cluster - 0.5 * s2 * _int1(rays, red01)
 
     return _report(
         "n2",

@@ -1,13 +1,17 @@
 import cmath
+import json
 import math
 import tracemalloc
+import warnings
 from math import pi
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import xxzchain.contours as contours
 from xxzchain.contours import (
+    ContourSpec,
     Integrand20,
     Integrand300,
     Panel,
@@ -37,6 +41,9 @@ from xxzchain.errors import (
 )
 
 RNG = np.random.default_rng(7)
+N2_QUICK_REFERENCE = json.loads(
+    (Path(__file__).parent / "data" / "n2_quick_reference.json").read_text()
+)
 
 
 def _random_points(n):
@@ -75,6 +82,53 @@ class TestTestFunction:
         for J in standard_test_functions(2):
             for c in (contour_c1(zeta), contour_c2(zeta), contour_c3(zeta)):
                 assert certify_clearance(c, J.g_poles(), 0.05) >= 0.05
+
+
+def _loop_clearance(contour, poles):
+    """Scalar pole-then-segment scan: (smallest distance, first pole at it)."""
+    worst, worst_pole = math.inf, None
+    for p in poles:
+        for a, b in contour.segments():
+            a, b, p_ = complex(a), complex(b), complex(p)
+            ab = b - a
+            denom = abs(ab) ** 2
+            if denom == 0.0:
+                d = abs(p_ - a)
+            else:
+                t = min(1.0, max(0.0, ((p_ - a) * ab.conjugate()).real / denom))
+                d = abs(a + t * ab - p_)
+            if d < worst:
+                worst, worst_pole = d, p
+    return worst, worst_pole
+
+
+class TestClearance:
+    def test_matches_loop_bit_for_bit(self):
+        zeta = 0.35 * pi
+        rng = np.random.default_rng(5)
+        point = ContourSpec("pt", (Panel(1.0 + 1.0j, 1.0 + 1.0j), Panel(-2.0, 2.0)))
+        for c in (
+            contour_c1(zeta),
+            contour_c1a(zeta, 1, -1, 3.5, order=24, inset=0.02, refine=True),
+            point,
+        ):
+            for J in standard_test_functions(2):
+                for poles in (
+                    J.g_poles(),
+                    Reduced01(J, zeta).poles(),
+                    list(rng.uniform(-13, 13, 20) + 1j * rng.uniform(-2, 2, 20)),
+                ):
+                    worst, _ = _loop_clearance(c, poles)
+                    assert certify_clearance(c, poles, 0.0).hex() == worst.hex()
+
+    def test_error_names_first_worst_pole(self):
+        # two poles tied at 5e-4 from the real line, a third at 6e-4
+        c = contour_c2(0.35 * pi)
+        poles = [3.0 + 2j, 0.25 - 5e-4j, -0.75 + 5e-4j, 0.5 + 6e-4j]
+        assert _loop_clearance(c, poles)[1] == poles[1]
+        with pytest.raises(PoleProximityError) as err:
+            certify_clearance(c, poles, label="x")
+        assert str(err.value) == "pole (0.25-0.0005j) within 5.000e-04 of contour C2 (x)"
 
 
 class TestTau:
@@ -182,8 +236,8 @@ class TestPairKernels:
             ):
                 assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
 
-    @pytest.mark.parametrize("reduced", [False, True], ids=["pair20", "pair110"])
-    def test_blocked_sum_matches_dense(self, reduced):
+    @pytest.mark.parametrize("case", ["pair20", "pair110", "self"])
+    def test_blocked_sum_matches_dense(self, case):
         # more than one block, and a last block shorter than the others
         zeta = 0.35 * pi
         cA = contour_c1(zeta, L=4.0, order=24)
@@ -193,7 +247,19 @@ class TestPairKernels:
         block = contours.PAIR_BLOCK_ROWS
         assert len(nA) > block and len(nA) % block != 0
         x = nA[:, None] - nB[None, :]
-        if reduced:
+        if case == "self":
+            # C1 with itself: only the blocks on and right of the diagonal are built
+            J = TestFunctionJ(2, (2.0 + 1.5j,))
+            v = wA * J.g(nA)
+            xx = nA[:, None] - nA[None, :]
+            want = v @ _sinh_pair20(xx, zeta) @ v
+            got = contours._int2_pair(cA, cA, J, zeta) * (2 * pi) ** 2
+            assert abs(got - want) < 1e-13 * abs(want)
+            want = v @ _sinh_pair110(xx, zeta) @ v
+            got = contours._pair_form(nA, v, nA, v, contours._pair110_coeffs(zeta))
+            assert abs(got - want) < 1e-13 * abs(want)
+            return
+        if case == "pair110":
             J = TestFunctionJ(3, (1.8 - 1.2j,))
             red = Reduced110(J, zeta)
             got = contours._int2_reduced(cA, cB, red)
@@ -209,6 +275,34 @@ class TestPairKernels:
             got = contours._int2_pair(cA, cB, J, zeta)
             want = (wA * J.g(nA)) @ _sinh_pair20(x, zeta) @ (wB * J.g(nB)) / (2 * pi) ** 2
         assert abs(got - want) < 1e-13 * abs(want)
+
+    def test_weights_finite_at_truncation_limit(self):
+        # contours of half-length L put |Re x| = 2 L between their ends; the
+        # RuntimeWarning filter of pyproject.toml is repeated so the test
+        # stands alone
+        L = contours.MAX_TRUNCATION
+        zeta = 0.35 * pi
+        nA = np.array([L, L + 0.5j * pi, L - 0.2j, L - 0.5j * pi])
+        nB = -nA
+        v = np.array([1.0, -0.5j, 0.25, 2.0 + 1.0j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for pair, sinh_form, coeffs in (
+                (contours._pair20, _sinh_pair20, contours._pair20_coeffs),
+                (contours._pair110, _sinh_pair110, contours._pair110_coeffs),
+            ):
+                for x0, x1 in ((nA, nB), (nB, nA)):
+                    x = x0[:, None] - x1[None, :]
+                    assert np.all(np.abs(x.real) == 2 * L)
+                    want = sinh_form(x, zeta)
+                    for got in (
+                        pair(x, zeta),
+                        contours._pair_matrix(x0, x1, coeffs(zeta)),
+                    ):
+                        assert np.all(np.isfinite(got))
+                        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+                    got = contours._pair_form(x0, v, x1, v, coeffs(zeta))
+                    assert abs(got - v @ want @ v) < 1e-13 * abs(v @ want @ v)
 
     def test_n2_peak_memory_bounded(self):
         J = TestFunctionJ(2, (2.0 + 1.5j,), label="w1")
@@ -263,6 +357,17 @@ class TestIdentityN2:
             separation=0.02,
         )
         assert rep["rel_diff"] > 1e-6
+
+    def test_quick_matrix_matches_reference(self):
+        # lhs and rhs of `xxz verify --suite quick`, written by
+        # tests/data/make_n2_quick_reference.py
+        labels = {J.label: J for J in standard_test_functions(2)}
+        for row in N2_QUICK_REFERENCE:
+            J = labels[row["label"]]
+            rep = eval_identity_n2(J, row["v"], row["zeta_over_pi"] * pi)
+            for side in ("lhs", "rhs"):
+                want = complex(*row[side])
+                assert abs(rep[side] - want) < 1e-13 * abs(want), (row, side, rep[side])
 
     def test_zero_function(self):
         rep = eval_identity_n2(TestFunctionJ.zero(2), 1.5, 0.35 * pi)
