@@ -75,9 +75,6 @@ class ExcitationConfig:
             if any(c < 0 for c in counts):
                 raise ValidationError("massive counts must be nonnegative")
 
-    def string_counts(self) -> dict:
-        return {r: tuple(counts) for r, counts in self.n_r}
-
     def spin_sum(self, kappa_v: int) -> int:
         """ell_+ + ell_- + kappa_v n0 + n1 + sum r n_r."""
         total = self.ell_plus + self.ell_minus + kappa_v * self.n0 + self.n1

@@ -1,14 +1,16 @@
 """Dressed thermodynamic observables on the Fermi segment [-q, q].
 
-Everything is driven by one Nystrom discretization of the convolution
-operator with kernel K(.|zeta); the dressed energy, momentum derivative,
-charge and phases are different driving terms against the same LU-factored
-matrix. In h mode, the search for the Fermi endpoint q runs before it on the
-even half of that system, since the dressed energy is even. Off-segment
-(including complex) values come from the defining equations themselves:
-`DressedSet.eps_r` and `DressedSet.p_r_d` give the k-th lam-derivative of
-eps_r and p_r for every string length r through one extension of those
-equations, of which r = 1 is the ordinary case.
+The dressed energy eps_1, momentum derivative p_1', charge Z and phases
+phi_r each solve f + int_{-q}^{q} K(. - x|zeta) f(x) dx = g for their own
+driving term g, against one LU-factored Nystrom matrix; `DressedSet` keeps
+only their node values. In h mode, the search for the Fermi endpoint q runs
+before it on the even half of that system, since the dressed energy is even.
+
+Every value off the nodes, complex ones included, is the defining equation
+itself: the driving term minus `_conv`, the quadrature of K_r^(k) against
+node values (the Nystrom interpolant; Atkinson 1997, ch. 4). `eps_r` and
+`p_r_d` give the k-th lam-derivative of eps_r and p_r for every string
+length r this way, `Z` and `phi` the r = 1, k = 0 case.
 """
 from __future__ import annotations
 
@@ -36,7 +38,6 @@ from .kernels import (
 )
 from .quadrature import (
     DEFAULT_ORDER,
-    GridFunction,
     NystromLU,
     find_root_bracketed,
     gauss_legendre,
@@ -78,32 +79,20 @@ class ModelParams:
         KernelParams(zeta=self.zeta)  # near-rational warning
 
 
-class _Discretization(NystromLU):
-    """Shared Nystrom data at a given (zeta, q, order)."""
-
-    def __init__(self, zeta: float, Q: float, order: int):
-        self.zeta = zeta
-        self.Q = Q
-        super().__init__(
-            lambda l, m: kernel_k(l - m, zeta),
-            gauss_legendre(order, -Q, Q),
-            f"K(zeta={zeta:.17g})",
-        )
+def _conv(quad, zeta: float, lam, values, r: int = 1, k: int = 0):
+    """sum_j w_j K_r^(k)(lam - x_j) values_j over the rule `quad`, shaped as lam."""
+    lam = np.asarray(lam)
+    kmat = kernel_kr(lam.reshape(-1, 1) - quad.nodes, r, zeta, k)
+    return (kmat @ (quad.weights * values)).reshape(lam.shape)
 
 
 def _solve_pair(zeta: float, Q: float, order: int):
     """Solve the unit-driving (charge-type) and K-driving equations at once."""
-    disc = _Discretization(zeta, Q, order)
-    x = disc.quad.nodes
-    z_vals = disc.solve(np.ones(order))
-    e_vals = disc.solve(np.asarray(kernel_k(x, zeta / 2), dtype=float))
-    return disc, z_vals, e_vals
-
-
-def _endpoint_value(disc: _Discretization, values, driving_at_q) -> float:
-    """Natural Nystrom extension at lam = Q."""
-    krow = kernel_k(disc.Q - disc.quad.nodes, disc.zeta)
-    return float(driving_at_q - np.sum(disc.quad.weights * krow * values))
+    lu = NystromLU(lambda l, m: kernel_k(l - m, zeta), gauss_legendre(order, -Q, Q))
+    x = lu.quad.nodes
+    z_vals = lu.solve(np.ones(order))
+    e_vals = lu.solve(np.asarray(kernel_k(x, zeta / 2), dtype=float))
+    return lu, z_vals, e_vals
 
 
 def _endpoint_energy(zeta: float, Q: float, order: int, h: float, c: float) -> float:
@@ -112,18 +101,18 @@ def _endpoint_energy(zeta: float, Q: float, order: int, h: float, c: float) -> f
     rule symmetric, so the node values are even."""
     half = gauss_legendre(order, -Q, Q).even_half()
     x, w = half.nodes, half.weights
-    lu = NystromLU(
-        lambda l, m: kernel_k(l - m, zeta) + kernel_k(l + m, zeta),
-        half,
-        f"K_even(zeta={zeta:.17g})",
-    )
+    lu = NystromLU(lambda l, m: kernel_k(l - m, zeta) + kernel_k(l + m, zeta), half)
     eps = lu.solve(h - c * kernel_k(x, zeta / 2))
     krow = kernel_k(Q - x, zeta) + kernel_k(Q + x, zeta)
     return float(h - c * kernel_k(Q, zeta / 2) - np.sum(w * krow * eps))
 
 
 class DressedSet:
-    """Solved dressed quantities at fixed (J, zeta, q, h, order)."""
+    """Solved dressed quantities at fixed (J, zeta, q, h, order).
+
+    `charge`, `eps1` and `p1prime` hold the node values of Z, eps_1 and p_1'
+    on `quad.nodes`; `lu` is the factored Nystrom matrix they were solved on.
+    """
 
     def __init__(self, params: ModelParams):
         self.params = params
@@ -132,10 +121,10 @@ class DressedSet:
 
         if params.q is not None:
             q = float(params.q)
-            disc, z_vals, e_vals = _solve_pair(zeta, q, order)
-            zq = _endpoint_value(disc, z_vals, 1.0)
-            eq = _endpoint_value(disc, e_vals, kernel_k(q, zeta / 2))
-            h = c * eq / zq
+            lu, z_vals, e_vals = _solve_pair(zeta, q, order)
+            zq = 1.0 - _conv(lu.quad, zeta, q, z_vals)
+            eq = kernel_k(q, zeta / 2) - _conv(lu.quad, zeta, q, e_vals)
+            h = float(c * eq / zq)
             hc = h_critical(J, zeta)
             if not (0 < h < hc):
                 raise ValidationError(
@@ -144,22 +133,16 @@ class DressedSet:
         else:
             h = float(params.h)
             q = self._find_q(J, zeta, h, order, c)
-            disc, z_vals, e_vals = _solve_pair(zeta, q, order)
+            lu, z_vals, e_vals = _solve_pair(zeta, q, order)
 
         self.J, self.zeta, self.q, self.h = J, zeta, q, h
         self.order = order
-        self.disc = disc
-        self.quad = disc.quad
+        self.lu = lu
+        self.quad = lu.quad
 
-        self.Z = disc.grid_function(z_vals, lambda l: np.ones_like(np.asarray(l)), "unit")
-        eps_vals = h * z_vals - c * e_vals
-        self.eps1 = disc.grid_function(
-            eps_vals, lambda l: h - c * kernel_k(l, zeta / 2), "dressed-energy"
-        )
-        p1p_vals = 2 * pi * e_vals
-        self.p1prime = disc.grid_function(
-            p1p_vals, lambda l: 2 * pi * kernel_k(l, zeta / 2), "momentum-derivative"
-        )
+        self.charge = z_vals
+        self.eps1 = h * z_vals - c * e_vals
+        self.p1prime = 2 * pi * e_vals
 
         self._phase_cache: dict = {}
         self._line_cache: dict = {}  # saddles: v-independent carrier-line curves
@@ -168,13 +151,13 @@ class DressedSet:
 
         # positivity checks demanded of every solved set
         nodes = self.quad.nodes
-        if np.any(p1p_vals <= 0):
+        if np.any(self.p1prime <= 0):
             raise ConsistencyError("p'_1 not positive on the Fermi segment")
-        end_eps = abs(self.eps1(q))
+        end_eps = abs(self.eps_r(q))
         if end_eps > 1e-8 * max(h, 1.0):
             raise ConsistencyError(f"eps_1(q) = {end_eps:.3e} not zero within tolerance")
         interior = nodes[np.abs(nodes) < q * 0.995]
-        if np.any(self.eps1.values[np.abs(nodes) < q * 0.995] >= 0) and len(interior):
+        if np.any(self.eps1[np.abs(nodes) < q * 0.995] >= 0) and len(interior):
             raise ConsistencyError("eps_1 not negative inside the Fermi zone")
 
     # -- construction helpers ------------------------------------------------
@@ -204,7 +187,7 @@ class DressedSet:
     # -- dressed energies and momentum derivatives ---------------------------
 
     def _extend(self, lam, r: int, k: int, const, coef: float, values):
-        """const + coef K^(k)(lam|r zeta/2) - sum_j w_j K_r^(k)(lam - x_j) values_j.
+        """const + coef K^(k)(lam|r zeta/2) - _conv(lam, values, r, k).
 
         The defining equation of eps_r (values eps_1) and p_r' (values p_1'),
         differentiated k times, evaluated on and off the Fermi segment. For
@@ -223,22 +206,20 @@ class DressedSet:
                         f"evaluation at Im(lam)={im} within {EXTENSION_POLE_GUARD} "
                         "of a kernel pole line"
                     )
-        lam = np.asarray(lam)
-        kmat = kernel_kr(lam.reshape(-1, 1) - self.quad.nodes, r, self.zeta, k)
-        conv = (kmat @ (self.quad.weights * values)).reshape(lam.shape)
+        conv = _conv(self.quad, self.zeta, lam, values, r, k)
         return const + coef * kernel_k(lam, r * self.zeta / 2, k) - conv
 
     def eps_r(self, lam, r: int = 1, k: int = 0):
         """k-th lam-derivative of the dressed energy of the r-string,
         evaluable on and off its carrier line."""
         c = 4 * pi * self.J * sin(self.zeta)
-        return self._extend(lam, r, k, r * self.h if k == 0 else 0, -c, self.eps1.values)
+        return self._extend(lam, r, k, r * self.h if k == 0 else 0, -c, self.eps1)
 
     def p_r_d(self, lam, r: int = 1, k: int = 1):
         """k-th lam-derivative (k >= 1) of the dressed momentum p_r."""
         if k < 1:
             raise ValidationError(f"p_r_d needs a derivative order k >= 1, got {k}")
-        return self._extend(lam, r, k - 1, 0, 2 * pi, self.p1prime.values)
+        return self._extend(lam, r, k - 1, 0, 2 * pi, self.p1prime)
 
     @staticmethod
     def _reduce_periodic(lam: complex) -> complex:
@@ -248,7 +229,7 @@ class DressedSet:
 
     def _compute_p1(self, lam_real: float) -> float:
         theta_vals = bare_phase_1(lam_real - self.quad.nodes, self.zeta)
-        conv = np.sum(self.quad.weights * theta_vals * self.p1prime.values) / (2 * pi)
+        conv = np.sum(self.quad.weights * theta_vals * self.p1prime) / (2 * pi)
         return float(bare_phase_1(lam_real, self.zeta / 2)) - conv
 
     def p_r(self, lam, r: int = 1):
@@ -270,7 +251,7 @@ class DressedSet:
                 return complex(self._compute_p1(z.real))
             z = z.real  # real bare phases, real dtypes
         theta_vals = bare_phase(z - self.quad.nodes, r, self.zeta)
-        conv = np.sum(self.quad.weights * theta_vals * self.p1prime.values) / (2 * pi)
+        conv = np.sum(self.quad.weights * theta_vals * self.p1prime) / (2 * pi)
         lead = bare_phase_1(z, r * self.zeta / 2)
 
         corr = pi * sc.ell_r - self.p_F * sc.m_r
@@ -290,49 +271,49 @@ class DressedSet:
 
     # -- dressed phase and charge -------------------------------------------
 
-    def dressed_phase(self, r: int, mu: complex) -> GridFunction:
-        """phi_r(., mu) as a GridFunction on [-q, q] (complex extension valid)."""
+    def dressed_phase(self, r: int, mu: complex) -> np.ndarray:
+        """Node values of phi_r(., mu) on [-q, q], solved once per (r, mu) and
+        read-only."""
         key = (r, round(complex(mu).real, 12), round(complex(mu).imag, 12))
-        gf = self._phase_cache.get(key)
-        if gf is not None:
-            return gf
-        sc = string_combinatorics(r, self.zeta)
+        values = self._phase_cache.get(key)
+        if values is not None:
+            return values
         mu = complex(mu)
-
         x = self.quad.nodes - (mu.real if abs(mu.imag) < 1e-14 else mu)
-        driving_vals = bare_phase(x, r, self.zeta) / (2 * pi) + sc.m_r / 2
+        driving_vals = self._phase_driving(r, x)
 
         if np.iscomplexobj(driving_vals) and np.max(np.abs(driving_vals.imag)) > 0:
-            values = self.disc.solve(driving_vals.real) + 1j * self.disc.solve(
+            values = self.lu.solve(driving_vals.real) + 1j * self.lu.solve(
                 driving_vals.imag
             )
         else:
-            values = self.disc.solve(driving_vals.real)
+            values = self.lu.solve(driving_vals.real)
 
-        gf = self._phase_grid_function(values, r, mu)
-        self._phase_cache[key] = gf
-        return gf
+        values.flags.writeable = False  # shared by every later call
+        self._phase_cache[key] = values
+        return values
 
-    def _phase_grid_function(self, values, r, mu) -> GridFunction:
+    def phi(self, r: int, lam, mu):
+        """phi_r(lam, mu): the bare-phase driving minus `_conv` of the node values."""
+        values = self.dressed_phase(r, mu)
+        z = np.asarray(lam, dtype=complex) - mu
+        # flat, so that bare_phase returns an array for a scalar lam too
+        driving = self._phase_driving(r, z.reshape(-1)).reshape(z.shape)
+        return driving - _conv(self.quad, self.zeta, lam, values)
+
+    def _phase_driving(self, r: int, z):
+        """theta_r(z) / 2 pi + m_r / 2, the driving term of phi_r at z = lam - mu."""
         sc = string_combinatorics(r, self.zeta)
+        return bare_phase(z, r, self.zeta) / (2 * pi) + sc.m_r / 2
 
-        def driving(lam):
-            z = np.atleast_1d(np.asarray(lam, dtype=complex)) - mu
-            vals = bare_phase(z, r, self.zeta) / (2 * pi) + sc.m_r / 2
-            return vals if vals.shape != (1,) else vals[0]
-
-        return self.disc.grid_function(values, driving, f"phi_{r}(mu={mu})")
-
-    def phi(self, r: int, lam, mu) -> complex:
-        """phi_r(lam, mu) through the cached grid function."""
-        gf = self.dressed_phase(r, mu)
-        val = gf(lam)
-        return val
+    def Z(self, lam):
+        """Dressed charge Z(lam): driving 1 minus `_conv` of its node values."""
+        return 1.0 - _conv(self.quad, self.zeta, lam, self.charge)
 
     def magnetization_density(self) -> float:
         """D = p_F / pi, cross-checked against the root-density integral."""
         d1 = self.p_F / pi
-        d2 = float(np.sum(self.quad.weights * self.p1prime.values)) / (2 * pi)
+        d2 = float(np.sum(self.quad.weights * self.p1prime)) / (2 * pi)
         if abs(d1 - d2) > 1e-10:
             raise ConsistencyError(
                 f"magnetization routes disagree: p_F/pi={d1!r}, int rho={d2!r}"
@@ -342,17 +323,3 @@ class DressedSet:
 
 def solve_dressed_set(params: ModelParams) -> DressedSet:
     return DressedSet(params)
-
-
-def solve_dressed_energy(params: ModelParams, Q: float) -> GridFunction:
-    """Solve the energy equation on [-Q, Q] at the given field (h mode only)."""
-    if params.h is None:
-        raise ValidationError("solve_dressed_energy requires the field h")
-    if Q <= 0:
-        raise ValidationError(f"Q must be positive, got {Q}")
-    h, J, zeta = params.h, params.J, params.zeta
-    c = 4 * pi * J * sin(zeta)
-    disc = _Discretization(zeta, Q, params.order)
-    driving = lambda l: h - c * kernel_k(l, zeta / 2)
-    vals = disc.solve(np.asarray(driving(disc.quad.nodes), dtype=float))
-    return disc.grid_function(vals, driving, "dressed-energy")

@@ -100,7 +100,6 @@ class KernelParams:
     """Anisotropy bookkeeping; warns when zeta/pi is numerically rational."""
 
     zeta: float
-    eta: float | None = None
     near_rational: bool = field(init=False)
 
     def __post_init__(self):

@@ -1,15 +1,15 @@
-"""Numerical backbone: Gauss-Legendre rules, Nystrom solver for second-kind
-Fredholm equations, bracketed root finding, complex polyline integration and
-the Barnes G function.
+"""Numerical backbone: Gauss-Legendre rules, the LU-factored Nystrom matrix
+of a second-kind Fredholm equation, bracketed root finding, complex polyline
+integration and the Barnes G function.
 
-The Nystrom solution carries its kernel and driving term around so it can be
-evaluated off the node grid (including at complex points) through the natural
-interpolation f(lam) = g(lam) - sum_j w_j K(lam, mu_j) f(mu_j).
+`NystromLU` solves for node values only. Evaluating a solution off the nodes
+(the Nystrom interpolant f(lam) = g(lam) - sum_j w_j K(lam, x_j) f(x_j)) is
+left to the caller, who knows the kernel's analytic form.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -101,35 +101,6 @@ def gauss_legendre(order: int, a: float = -1.0, b: float = 1.0) -> Quadrature:
     )
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Nystrom solution of f(lam) + int_{-Q}^{Q} K(lam, mu) f(mu) dmu = g(lam).
-
-    `kernel` and `driving` must accept numpy arrays (complex allowed where the
-    kernel is analytic); `values` are the solved node values.
-    """
-
-    quad: Quadrature
-    values: np.ndarray
-    driving: Callable = field(repr=False)
-    kernel: Callable = field(repr=False)
-    driving_id: str = "driving"
-    kernel_id: str = "kernel"
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise SolverError("non-finite node values")
-
-    def __call__(self, lam):
-        """Natural Nystrom interpolation, valid wherever the kernel is analytic."""
-        lam = np.asarray(lam)
-        scalar = lam.ndim == 0
-        pts = np.atleast_1d(lam)
-        kmat = self.kernel(pts[:, None], self.quad.nodes[None, :])
-        out = self.driving(pts) - kmat @ (self.quad.weights * self.values)
-        return out[0] if scalar else out
-
-
 class NystromLU:
     """The Nystrom matrix A = I + K W of a kernel on a rule (a Quadrature or
     an EvenHalf), LU-factored under the solver contract: the 1-norm condition
@@ -138,8 +109,8 @@ class NystromLU:
     of at most 1e-10 * max(1, max|g|), which a non-finite g or solution never
     meets; otherwise SolverError is raised."""
 
-    def __init__(self, kernel: Callable, quad: Quadrature | EvenHalf, kernel_id: str):
-        self.kernel, self.quad, self.kernel_id = kernel, quad, kernel_id
+    def __init__(self, kernel: Callable, quad: Quadrature | EvenHalf):
+        self.quad = quad
         x = quad.nodes
         kmat = np.asarray(kernel(x[:, None], x[None, :]))
         self.a_mat = np.eye(x.size, dtype=kmat.dtype) + kmat * quad.weights[None, :]
@@ -166,12 +137,6 @@ class NystromLU:
         if not resid <= 1e-10 * max(1.0, np.max(np.abs(g))):
             raise SolverError(f"Nystrom residual {resid:.3e} exceeds 1e-10 * max(1, max|g|)")
         return f
-
-    def grid_function(self, values, driving: Callable, driving_id: str) -> GridFunction:
-        """The Nystrom interpolant of solved node values for this kernel and rule."""
-        return GridFunction(
-            self.quad, values, driving, self.kernel, driving_id, self.kernel_id
-        )
 
 
 def find_root_bracketed(

@@ -90,7 +90,7 @@ def v_infinity(ds: DressedSet) -> float:
     """Common large-|lam| limit of the excitation velocities, two routes."""
     w, x = ds.quad.weights, ds.quad.nodes
     epsp = np.real(np.asarray(ds.eps_r(x, 1, 1)))
-    p1p = ds.p1prime.values
+    p1p = ds.p1prime
     num = 8 * pi * ds.J * math.sin(ds.zeta) - 2 * math.cos(ds.zeta) * np.sum(
         w * np.sinh(2 * x) * epsp
     )
@@ -109,18 +109,21 @@ def v_infinity(ds: DressedSet) -> float:
     return formula
 
 
-def _guard_velocity(v: float, ds: DressedSet, vinf: float | None = None) -> float:
+def _guard_velocity(v: float, ds: DressedSet, vinf: float | None = None,
+                    vf: float | None = None) -> tuple[float, float]:
+    """(v_inf, v_F), computed where not given; raises NearCriticalError within
+    the guard band of either."""
     if v == 0:
         raise ValidationError("v must be nonzero")
     vinf = v_infinity(ds) if vinf is None else vinf
-    vf = fermi_velocity(ds)
+    vf = fermi_velocity(ds) if vf is None else vf
     for crit in (vf, vinf):
         if abs(abs(v) - crit) < NEAR_CRITICAL_BAND * vinf:
             raise NearCriticalError(
                 f"|v| = {abs(v)} within guard band of a critical velocity "
                 f"(v_F = {vf}, v_inf = {vinf})"
             )
-    return vinf
+    return vinf, vf
 
 
 def _line_curves(ds: DressedSet, r: int, line_im: float):
@@ -185,12 +188,14 @@ def _make_saddle(ds: DressedSet, species: int, r: int, x: float, v: float,
     )
 
 
-def find_saddles(r: int, v: float, ds: DressedSet) -> list[SaddlePoint]:
+def find_saddles(r: int, v: float, ds: DressedSet, vinf: float | None = None,
+                 vf: float | None = None) -> list[SaddlePoint]:
     """All saddle points of species r at velocity v.
 
     For r = 1 both lines are scanned; real-line saddles are labelled 0.
+    v_inf and v_F are computed for the velocity guard unless given.
     """
-    vinf = _guard_velocity(v, ds)
+    _guard_velocity(v, ds, vinf, vf)
     out = []
     if r in (0, 1):
         for species, line_im in ((0, 0.0), (1, pi / 2)):
@@ -254,8 +259,7 @@ def _thresholds(ds: DressedSet, r: int, vinf: float):
 
 def classify_structure(v: float, ds: DressedSet, r_max: int = 8) -> StructureReport:
     """Full saddle inventory at velocity v with threshold estimates."""
-    vinf = _guard_velocity(v, ds)
-    vf = fermi_velocity(ds)
+    vinf, vf = _guard_velocity(v, ds)
 
     species = [1] + [
         r for r in range(2, r_max + 1) if string_exists(r, ds.zeta).exists
@@ -263,7 +267,7 @@ def classify_structure(v: float, ds: DressedSet, r_max: int = 8) -> StructureRep
     saddles: dict = {}
     counts: dict = {}
     for r in species:
-        found = find_saddles(r, v, ds)
+        found = find_saddles(r, v, ds, vinf, vf)
         if r == 1:
             saddles[0] = [s for s in found if s.r == 0]
             saddles[1] = [s for s in found if s.r == 1]

@@ -6,8 +6,11 @@ The exponents and saddles files under tests/data/golden are the stdout of
 the code before the saddle scans were hoisted out of the velocity loop; the
 solve, velocities and strings files were generated on commit 2d0125f, before
 the Nystrom condition number came from the LU (gecon) instead of an explicit
-inverse. Counts, row order and integer fields must match exactly; floats
-must agree to 1e-12 relative (complex pairs by modulus).
+inverse. The q-mode `xxz solve` files (solve_q_*) at the two space-like
+points were generated on commit 0d2b44f, before the endpoint values Z(q) and
+eps(q) that give h in q mode came from the one Nystrom interpolant. Counts,
+row order and integer fields must match exactly; floats must agree to 1e-12
+relative (complex pairs by modulus).
 """
 import json
 from pathlib import Path
@@ -94,4 +97,13 @@ def test_ground_state_matches_golden(command, zeta, capsys):
     assert run(argv) == 0
     got = json.loads(capsys.readouterr().out)
     want = json.loads((DATA / f"{command}_zeta{zeta}.json").read_text())
+    _assert_match(got, want)
+
+
+@pytest.mark.parametrize("zeta", sorted(POINTS))
+def test_q_mode_solve_matches_golden(zeta, capsys):
+    argv = ["solve", "--zeta", zeta] + POINTS[zeta][:2] + ["--order", "32"]
+    assert run(argv) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((DATA / f"solve_q_zeta{zeta}.json").read_text())
     _assert_match(got, want)

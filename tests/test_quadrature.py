@@ -19,11 +19,25 @@ from xxzchain.quadrature import (
 )
 
 
+class _Solution:
+    """Node values of a Nystrom solution and its interpolant
+    f(lam) = g(lam) - sum_j w_j K(lam, x_j) f_j."""
+
+    def __init__(self, kernel, driving, quad, values):
+        self.kernel, self.driving, self.quad, self.values = kernel, driving, quad, values
+
+    def __call__(self, lam):
+        pts = np.atleast_1d(lam)
+        kmat = self.kernel(pts[:, None], self.quad.nodes[None, :])
+        out = self.driving(pts) - kmat @ (self.quad.weights * self.values)
+        return out.reshape(np.shape(lam))
+
+
 def solve_fredholm2(kernel, driving, Q, order):
     """Nystrom solution of f + int_{-Q}^{Q} K(., y) f(y) dy = g on a `NystromLU`."""
-    lu = NystromLU(kernel, gauss_legendre(order, -Q, Q), "kernel")
+    lu = NystromLU(kernel, gauss_legendre(order, -Q, Q))
     g = np.asarray(driving(lu.quad.nodes), dtype=lu.a_mat.dtype)
-    return lu.grid_function(lu.solve(g), driving, "driving")
+    return _Solution(kernel, driving, lu.quad, lu.solve(g))
 
 
 class TestGaussLegendre:
@@ -137,7 +151,7 @@ class TestFredholm:
 
     @pytest.mark.parametrize("n", [16, 128])
     def test_non_finite_driving_is_solver_error(self, n):
-        lu = NystromLU(lambda x, y: 0.3 * np.cos(x - y), gauss_legendre(n, -1.0, 1.0), "cos")
+        lu = NystromLU(lambda x, y: 0.3 * np.cos(x - y), gauss_legendre(n, -1.0, 1.0))
         for g in (np.full(n, np.nan), np.full(n, np.inf)):
             with pytest.raises(SolverError):
                 lu.solve(g)
