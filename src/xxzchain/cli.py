@@ -338,7 +338,7 @@ def _cmd_exponents(opts):
         structure = None
         configs = enumerate_configs(spin, "conformal", opts["bound"], cat)
     else:
-        structure = classify_structure(v, ds, r_max=opts["rmax"])
+        structure = classify_structure(v, ds, r_max=opts["rmax"], vinf=v_inf)
         configs = enumerate_configs(
             spin, "general", opts["bound"], cat, structure=structure
         )

@@ -11,6 +11,12 @@ itself: the driving term minus `_conv`, the quadrature of K_r^(k) against
 node values (the Nystrom interpolant; Atkinson 1997, ch. 4). `eps_r` and
 `p_r_d` give the k-th lam-derivative of eps_r and p_r for every string
 length r this way, `Z` and `phi` the r = 1, k = 0 case.
+
+Every carrier line lies at Im lam = 0 or pi/2, where `_conv` runs in real
+arithmetic: K is i pi periodic and K(t + i pi/2|eta) = K(t|eta + pi/2), so
+the kernel matrix there is the real one at t = Re lam. The O(n) driving
+terms stay complex, so `eps_r` and `p_r_d` keep a complex dtype for complex
+lam; `Z` on these lines is returned real.
 """
 from __future__ import annotations
 
@@ -80,9 +86,21 @@ class ModelParams:
 
 
 def _conv(quad, zeta: float, lam, values, r: int = 1, k: int = 0):
-    """sum_j w_j K_r^(k)(lam - x_j) values_j over the rule `quad`, shaped as lam."""
+    """sum_j w_j K_r^(k)(lam - x_j) values_j over the rule `quad`, shaped as lam.
+
+    When every lam lies on Im lam = 0, or every one on |Im lam| = pi/2, the
+    kernel matrix is built real from t = Re lam (at eta + pi/2 on the second
+    line); any other complex lam takes the complex difference matrix.
+    """
     lam = np.asarray(lam)
-    kmat = kernel_kr(lam.reshape(-1, 1) - quad.nodes, r, zeta, k)
+    t, shift = lam, 0.0
+    if np.iscomplexobj(lam):
+        im = np.abs(lam.imag)
+        if not im.any():
+            t = lam.real
+        elif np.all(im == pi / 2):
+            t, shift = lam.real, pi / 2
+    kmat = kernel_kr(t.reshape(-1, 1) - quad.nodes, r, zeta, k, shift)
     return (kmat @ (quad.weights * values)).reshape(lam.shape)
 
 
@@ -307,7 +325,8 @@ class DressedSet:
         return bare_phase(z, r, self.zeta) / (2 * pi) + sc.m_r / 2
 
     def Z(self, lam):
-        """Dressed charge Z(lam): driving 1 minus `_conv` of its node values."""
+        """Dressed charge Z(lam): driving 1 minus `_conv` of its node values;
+        a real dtype on the lines Im lam = 0 and +-pi/2."""
         return 1.0 - _conv(self.quad, self.zeta, lam, self.charge)
 
     def magnetization_density(self) -> float:

@@ -3,12 +3,17 @@
 K(lam|eta) = sin(2 eta) / (2 pi sinh(lam + i eta) sinh(lam - i eta))
            = sin(2 eta) / (pi (cosh 2 lam - cos 2 eta)),
 
-with simple poles at lam = +- i eta mod i pi. The bound-state kernel is
-K_r = K(.|zeta (r+1)/2) + K(.|zeta (r-1)/2). The bare phase theta(lam|eta) is
-the integral of 2 pi K along the two-segment path [0, i Im lam] then
-[i Im lam, lam], with poles passed on the left. Since
-2 pi K(mu|eta) = -i [coth(mu - i eta) - coth(mu + i eta)], it is
--i [g(lam) - g(0)] with g = log sinh(mu - i eta) - log sinh(mu + i eta)
+with simple poles at lam = +- i eta mod i pi. It is real on the real line,
+and on the lines Im lam = +-pi/2 by the half-period identity
+K(t + i pi/2|eta) = K(t|eta + pi/2) for real t: cosh(2t + i pi) = -cosh 2t,
+and 2(eta + pi/2) flips the sign of both sin 2 eta and cos 2 eta. The shifted
+eta carries the poles along, so the pole guard measures the same distance.
+
+The bound-state kernel is K_r = K(.|zeta (r+1)/2) + K(.|zeta (r-1)/2).
+The bare phase theta(lam|eta) is the integral of 2 pi K along the
+two-segment path [0, i Im lam] then [i Im lam, lam], with poles passed on
+the left. Since 2 pi K(mu|eta) = -i [coth(mu - i eta) - coth(mu + i eta)],
+it is -i [g(lam) - g(0)] with g = log sinh(mu - i eta) - log sinh(mu + i eta)
 continued along the path: a log modulus, whole multiples of pi for the zeros
 the vertical leg crosses, and an atan2 for the horizontal leg.
 """
@@ -85,14 +90,15 @@ def kernel_k(lam, eta: float, k: int = 0):
     return s2 * (-4 * np.cosh(2 * lam) / (pi * d * d) + 8 * sh * sh / (pi * d * d * d))
 
 
-def kernel_kr(lam, r: int, zeta: float, k: int = 0):
+def kernel_kr(lam, r: int, zeta: float, k: int = 0, shift: float = 0.0):
     """k-th lam-derivative of the bound-state kernel
-    K_r = K(.|zeta (r+1)/2) + K(.|zeta (r-1)/2); for r = 1 the second summand
-    is K(.|0) = 0 and is not built."""
-    hi = kernel_k(lam, zeta * (r + 1) / 2, k)
+    K_r = K(.|zeta (r+1)/2) + K(.|zeta (r-1)/2), each eta raised by `shift`;
+    for r = 1 the second summand is K(.|0) = 0 and is not built. With
+    shift = pi/2 and real lam this is K_r^(k)(lam + i pi/2), in real arithmetic."""
+    hi = kernel_k(lam, zeta * (r + 1) / 2 + shift, k)
     if r == 1:
         return hi
-    return hi + kernel_k(lam, zeta * (r - 1) / 2, k)
+    return hi + kernel_k(lam, zeta * (r - 1) / 2 + shift, k)
 
 
 @dataclass(frozen=True)

@@ -257,9 +257,11 @@ def _thresholds(ds: DressedSet, r: int, vinf: float):
     return v_min, v_max
 
 
-def classify_structure(v: float, ds: DressedSet, r_max: int = 8) -> StructureReport:
-    """Full saddle inventory at velocity v with threshold estimates."""
-    vinf, vf = _guard_velocity(v, ds)
+def classify_structure(v: float, ds: DressedSet, r_max: int = 8,
+                       vinf: float | None = None) -> StructureReport:
+    """Full saddle inventory at velocity v with threshold estimates; v_inf is
+    computed unless given."""
+    vinf, vf = _guard_velocity(v, ds, vinf)
 
     species = [1] + [
         r for r in range(2, r_max + 1) if string_exists(r, ds.zeta).exists

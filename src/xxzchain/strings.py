@@ -122,9 +122,10 @@ def momentum_sign(r: int, ds) -> int:
                 f"no {r}-string exists at zeta = {ds.zeta}; momentum sign undefined"
             )
         carrier_im = spec.line_im
+    xs = (0.31, 0.87, 1.53, 2.24, 3.12)
+    vals = ds.p_r_d(np.array(xs) + 1j * carrier_im, r)
     samples = []
-    for x in (0.31, 0.87, 1.53, 2.24, 3.12):
-        val = ds.p_r_d(x + 1j * carrier_im, r)
+    for x, val in zip(xs, vals.tolist()):
         val = complex(val)
         if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
             raise SignInconsistencyError(

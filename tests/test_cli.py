@@ -10,6 +10,7 @@ import pytest
 
 import xxzchain
 import xxzchain.cli as cli
+import xxzchain.saddles as saddles
 from xxzchain.cli import parse_angle, run
 from xxzchain.errors import ValidationError
 
@@ -209,6 +210,23 @@ class TestSaddlesExponents:
         exps = [row["total_exponent"] for row in rows]
         assert exps == sorted(exps)
         assert rows[0]["total_exponent"] == 0
+
+    def test_exponents_compute_v_inf_once(self, capsys, monkeypatch):
+        calls = []
+        v_infinity = cli.v_infinity
+
+        def counted(ds):
+            calls.append(ds)
+            return v_infinity(ds)
+
+        monkeypatch.setattr(cli, "v_infinity", counted)
+        monkeypatch.setattr(saddles, "v_infinity", counted)
+        code, _, _ = _run(capsys, [
+            "exponents", "--zeta", "0.5365pi", "--q", "0.2",
+            "--v", "0.6", "--rmax", "2", "--bound", "1", "--order", "32",
+        ])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_real_valued_complex_driving_is_silent(self):
         # the complex-mu driving of a dressed phase can come out with an

@@ -16,7 +16,7 @@ from xxzchain.errors import (
     SolverError,
     ValidationError,
 )
-from xxzchain.kernels import kernel_k
+from xxzchain.kernels import kernel_k, kernel_kr
 from xxzchain.quadrature import NystromLU, gauss_legendre
 
 # closed-form benchmark: zeta = pi/2, J = 1, h = 2
@@ -421,6 +421,83 @@ class TestSignPatterns:
 
         expected = bare_phase(0.2, 2, pi / 2) / (2 * pi) + sc.m_r / 2
         assert abs(got - expected) < 1e-12
+
+
+def _reference_kernel(z, eta, k):
+    """K^(k)(z|eta) from s2 / (pi (cosh 2z - cos 2eta)), in complex arithmetic."""
+    z = np.asarray(z, dtype=complex)
+    s2, d = math.sin(2 * eta), np.cosh(2 * z) - math.cos(2 * eta)
+    if k == 0:
+        return s2 / (math.pi * d)
+    if k == 1:
+        return -2 * s2 * np.sinh(2 * z) / (math.pi * d**2)
+    return s2 * (8 * np.sinh(2 * z) ** 2 / d - 4 * np.cosh(2 * z)) / (math.pi * d**2)
+
+
+class TestCarrierLineReduction:
+    # one zeta from each band of the `asymptotics` benchmark workload
+    ZETAS = [0.3817 * pi, 0.5713 * pi, 0.7937 * pi]
+    LINES = [0.0, pi / 2, -pi / 2]
+
+    @pytest.fixture(scope="class")
+    def band_sets(self):
+        return {z: solve_dressed_set(ModelParams(J=1.0, zeta=z, q=0.45, order=32))
+                for z in self.ZETAS}
+
+    @pytest.mark.parametrize("zeta", ZETAS)
+    @pytest.mark.parametrize("r", [1, 2, 3, 5])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_matches_complex_reference(self, band_sets, zeta, r, k):
+        ds = band_sets[zeta]
+        x, w = ds.quad.nodes, ds.quad.weights
+        t = np.linspace(-4.0, 4.0, 41)
+        for line in self.LINES:
+            lam = t + 1j * line
+            diff = lam[:, None] - x
+            terms = sum(_reference_kernel(diff, e, k) for e in
+                        (zeta * (r + 1) / 2, zeta * (r - 1) / 2)) * (w * ds.eps1)
+            want = terms.sum(axis=1)
+            got = dressed._conv(ds.quad, zeta, lam, ds.eps1, r, k)
+            assert got.dtype == np.float64
+            # relative to the scale of the summands: the sum may pass through 0
+            err = np.abs(got - want) / np.abs(terms).sum(axis=1)
+            assert np.max(err) < 1e-13, (line, np.max(err))
+            assert np.max(np.abs(want.imag)) < 1e-13 * np.max(np.abs(terms))
+
+    @pytest.mark.parametrize("line", LINES)
+    def test_shape_follows_lam(self, band_sets, line):
+        ds = band_sets[self.ZETAS[0]]
+        for lam, shape in [(0.7 + 1j * line, ()),
+                           (np.array([0.7 + 1j * line]), (1,)),
+                           (np.linspace(-2, 2, 5) + 1j * line, (5,))]:
+            got = dressed._conv(ds.quad, ds.zeta, lam, ds.p1prime, 2, 1)
+            assert got.shape == shape
+            assert np.shape(ds.Z(lam)) == shape
+            assert np.shape(ds.eps_r(lam, 2, 1)) == shape
+
+    def test_off_line_is_the_direct_complex_sum(self, band_sets):
+        # Im lam = 0.3, or points on two different lines in one call
+        ds = band_sets[self.ZETAS[1]]
+        for lam in [np.linspace(-3, 3, 7) + 0.3j,
+                    np.array([0.4, 0.9 + 1j * pi / 2]),
+                    np.array([0.4 + 1j * pi / 2, 0.9 - 1j * pi / 2, 1.3 + 0.2j])]:
+            for r, k in [(1, 0), (2, 1), (3, 2)]:
+                direct = (kernel_kr(lam.reshape(-1, 1) - ds.quad.nodes, r, ds.zeta, k)
+                          @ (ds.quad.weights * ds.eps1))
+                got = dressed._conv(ds.quad, ds.zeta, lam, ds.eps1, r, k)
+                assert np.iscomplexobj(got)
+                assert np.array_equal(got, direct)
+
+    def test_pole_guard_on_the_reduced_line(self):
+        # K(.|zeta) has its poles 1e-13 from the lines Im lam = +-pi/2
+        with pytest.warns(UserWarning):
+            ds = solve_dressed_set(ModelParams(J=1.0, zeta=pi / 2 - 1e-13, q=0.5))
+        node = ds.quad.nodes[5]
+        for line in (pi / 2, -pi / 2):
+            with pytest.raises(PoleProximityError, match="kernel_k sampled"):
+                ds.Z(node + 1j * line)
+            with pytest.raises(PoleProximityError, match="kernel pole line"):
+                ds.eps_r(0.3 + 1j * line)
 
 
 class TestPhaseCaching:

@@ -160,6 +160,17 @@ class TestClassifyStructure:
         assert rep.counts[0] == rep.counts[1] == 1
         assert all(rep.counts[r] == 1 for r in rep.counts if r >= 2)
 
+    def test_given_vinf_is_used(self, sets, monkeypatch):
+        ds = sets[(0.9065, 0.8)]
+        vinf = v_infinity(ds)
+        want = classify_structure(0.5 * vinf, ds, r_max=3)
+
+        def refuse(ds):
+            raise AssertionError("v_inf recomputed")
+
+        monkeypatch.setattr(saddles, "v_infinity", refuse)
+        assert classify_structure(0.5 * vinf, ds, r_max=3, vinf=vinf) == want
+
     def test_two_saddles_above_vinf_at_09065(self, sets):
         # the species-1 velocity exceeds v_inf on the upper line here
         ds = sets[(0.9065, 0.8)]

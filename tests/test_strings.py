@@ -9,6 +9,7 @@ from xxzchain.errors import (
     DegenerateAnisotropyError,
     InvalidStringError,
     RegimeMismatchError,
+    SignInconsistencyError,
     ValidationError,
 )
 from xxzchain.strings import (
@@ -145,6 +146,24 @@ class TestMomentumSign:
                 continue
             ds = solve_dressed_set(ModelParams(J=1.0, zeta=float(zeta), q=0.15))
             assert momentum_sign(2, ds) == (1 if math.sin(2 * zeta) > 0 else -1)
+
+    def test_samples_in_one_call_each_checked_for_reality(self):
+        class Stub:
+            zeta = 0.3 * pi
+
+            def __init__(self, imag):
+                self.imag, self.shapes = imag, []
+
+            def p_r_d(self, lam, r=1, k=1):
+                self.shapes.append(np.shape(lam))
+                lam = np.asarray(lam)
+                return np.ones(lam.shape) + 1j * self.imag * (lam.real == 1.53)
+
+        ds = Stub(0.0)
+        assert momentum_sign(2, ds) == 1
+        assert ds.shapes == [(5,)]
+        with pytest.raises(SignInconsistencyError, match="not real on carrier line.*x=1.53"):
+            momentum_sign(2, Stub(1e-3))
 
     def test_nonexistent_string_rejected(self, ds_05365):
         with pytest.raises(InvalidStringError):
