@@ -480,10 +480,11 @@ def assemble_term(config: ExcitationConfig, v: float, ds,
             C *= (-1j * complex(sad.u_second)) ** (-0.5 * n ** 2)
             phase += n * _saddle_u(ds, r, sad.omega, v)
 
+    Zq = _saddle_value(ds, ("Z", ds.q), lambda: ds.Z(ds.q)).real
     deltas = {}
     for upsilon in (1, -1):
         ell = config.ell_plus if upsilon == 1 else config.ell_minus
-        val = -upsilon * ell + 0.5 * config.s_gamma * float(ds.Z(ds.q))
+        val = -upsilon * ell + 0.5 * config.s_gamma * Zq
         if config.n0:
             val -= kappa * config.n0 * _real_phase(ds, 1, upsilon, sad0.omega)
         if config.n1:

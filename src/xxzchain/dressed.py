@@ -16,7 +16,9 @@ Every carrier line lies at Im lam = 0 or pi/2, where `_conv` runs in real
 arithmetic: K is i pi periodic and K(t + i pi/2|eta) = K(t|eta + pi/2), so
 the kernel matrix there is the real one at t = Re lam. The O(n) driving
 terms stay complex, so `eps_r` and `p_r_d` keep a complex dtype for complex
-lam; `Z` on these lines is returned real.
+lam; `Z` on these lines is returned real. The kernel matrix is built and
+applied CONV_BLOCK_ROWS rows at a time, so that its temporaries stay in
+cache on the 2,000-point carrier-line scans.
 """
 from __future__ import annotations
 
@@ -50,6 +52,7 @@ from .quadrature import (
 )
 
 EXTENSION_POLE_GUARD = 1e-4
+CONV_BLOCK_ROWS = 256
 
 
 def h_critical(J: float, zeta: float) -> float:
@@ -90,7 +93,11 @@ def _conv(quad, zeta: float, lam, values, r: int = 1, k: int = 0):
 
     When every lam lies on Im lam = 0, or every one on |Im lam| = pi/2, the
     kernel matrix is built real from t = Re lam (at eta + pi/2 on the second
-    line); any other complex lam takes the complex difference matrix.
+    line); any other complex lam takes the complex difference matrix. Rows
+    go in blocks of CONV_BLOCK_ROWS, a multiple of 4, and a one-row remainder
+    joins the block before it: gemv groups rows by 4 and a one-row product
+    goes through dot, so only this split keeps every row bit-identical to the
+    one-matrix product.
     """
     lam = np.asarray(lam)
     t, shift = lam, 0.0
@@ -100,8 +107,14 @@ def _conv(quad, zeta: float, lam, values, r: int = 1, k: int = 0):
             t = lam.real
         elif np.all(im == pi / 2):
             t, shift = lam.real, pi / 2
-    kmat = kernel_kr(t.reshape(-1, 1) - quad.nodes, r, zeta, k, shift)
-    return (kmat @ (quad.weights * values)).reshape(lam.shape)
+    t, wv = t.reshape(-1, 1), quad.weights * values
+    starts = list(range(0, len(t), CONV_BLOCK_ROWS))
+    if len(starts) > 1 and len(t) - starts[-1] == 1:
+        starts.pop()  # a one-row product goes through dot, not gemv
+    ends = starts[1:] + [len(t)]
+    blocks = [kernel_kr(t[i:j] - quad.nodes, r, zeta, k, shift) @ wv
+              for i, j in zip(starts, ends)]
+    return np.concatenate(blocks).reshape(lam.shape)
 
 
 def _solve_pair(zeta: float, Q: float, order: int):
@@ -217,8 +230,14 @@ class DressedSet:
         etas = [e for e in (self.zeta * (r + 1) / 2, self.zeta * (r - 1) / 2)
                 if abs(sin(2 * e)) > 1e-15]
         if etas:
-            ims = np.unique(np.imag(np.atleast_1d(np.asarray(lam, dtype=complex))))
-            for im in ims.tolist():
+            lam_arr = np.asarray(lam)
+            if not np.iscomplexobj(lam_arr):
+                ims = [0.0]
+            elif lam_arr.size == 1:
+                ims = [float(lam_arr.imag.item())]
+            else:
+                ims = np.unique(lam_arr.imag).tolist()
+            for im in ims:
                 if min(_pole_line_distance(im, w_hat(e)) for e in etas) < EXTENSION_POLE_GUARD:
                     raise PoleProximityError(
                         f"evaluation at Im(lam)={im} within {EXTENSION_POLE_GUARD} "

@@ -56,12 +56,14 @@ def _pole_distance(lam, eta_hat: float):
 
 
 def _near_pole(lam, eta_hat: float, tol: float) -> bool:
-    """np.min(_pole_distance(lam, eta_hat)) < tol. For finite complex lam the
-    line distance is taken only in the strip |Re lam| < tol, since
+    """np.min(_pole_distance(lam, eta_hat)) < tol. For real lam this is False
+    from eta alone when min(eta_hat, pi - eta_hat) >= tol, since
+    hypot(a, b) >= b; only otherwise is the matrix scanned. For finite complex
+    lam the line distance is taken only in the strip |Re lam| < tol, since
     hypot(Re lam, d) >= |Re lam| outside it; NaN and inf (a non-finite sum)
     take the full path."""
     if not np.iscomplexobj(lam):
-        return _pole_distance(lam, eta_hat) < tol
+        return min(eta_hat, pi - eta_hat) < tol and _pole_distance(lam, eta_hat) < tol
     lam = np.asarray(lam)
     if lam.size and np.isfinite(lam.sum()):
         lam = lam[np.abs(lam.real) < tol]

@@ -1,3 +1,4 @@
+import itertools
 import math
 from math import pi
 
@@ -204,6 +205,18 @@ class TestGuards:
             ds.eps_r(0.3 + 1j * ds.zeta, 1)
         with pytest.raises(PoleProximityError):
             ds.eps_r(0.3 + 1j * (2 * ds.zeta - pi), 3, 1)
+
+    def test_pole_proximity_names_lowest_line(self, sets):
+        # two points on pole lines of K(.|zeta) and one clear: the text names
+        # the lowest offending Im lam, whatever the order of the points
+        ds = sets[(0.5365, 0.2)]
+        lam = np.array([0.3 + 1j * ds.zeta, 0.1 + 0.2j, 0.5 + 1j * (ds.zeta - pi)])
+        msg = ("evaluation at Im(lam)=-1.4561281949388691 within 0.0001 "
+               "of a kernel pole line")
+        for pts in (lam, lam[::-1]):
+            with pytest.raises(PoleProximityError) as exc:
+                ds.eps_r(pts, 1)
+            assert str(exc.value) == msg
 
     def test_ambiguous_momentum_display(self):
         # (r + sigma) zeta / 2 lands exactly on pi/2 for zeta = pi/3, r = 2
@@ -498,6 +511,54 @@ class TestCarrierLineReduction:
                 ds.Z(node + 1j * line)
             with pytest.raises(PoleProximityError, match="kernel pole line"):
                 ds.eps_r(0.3 + 1j * line)
+
+
+class TestConvBlocks:
+    """`_conv` in row blocks equals the one-matrix product bit for bit."""
+
+    ZETA = 0.5713 * pi
+    SIZES = [1, 2, 255, 256, 257, 258, 513, 2000, 4001]
+    # line: (Im lam, eta shift of the reference kernel, whether t = Re lam)
+    LINES = {"real": (0.0, 0.0, True), "up": (pi / 2, pi / 2, True),
+             "down": (-pi / 2, pi / 2, True), "off": (0.3, 0.0, False)}
+
+    @pytest.mark.parametrize("order", [32, 33, 128])
+    @pytest.mark.parametrize("line", sorted(LINES))
+    def test_equals_one_matrix_product(self, order, line):
+        im, shift, reduced = self.LINES[line]
+        quad = gauss_legendre(order, -0.45, 0.45)
+        rng = np.random.default_rng(order)
+        real_vals = rng.uniform(-1, 1, order)
+        values = [real_vals, real_vals + 1j * rng.uniform(-1, 1, order)]
+        # every size is a prefix of one lam, so one kernel matrix serves all
+        lam = np.linspace(-4.0, 4.0, max(self.SIZES)) + 1j * im
+        t = lam.real if reduced else lam
+        for r, k in itertools.product([1, 2, 3], [0, 1, 2]):
+            kmat = kernel_kr(t.reshape(-1, 1) - quad.nodes, r, self.ZETA, k, shift)
+            for vals, n in itertools.product(values, self.SIZES):
+                want = kmat[:n] @ (quad.weights * vals)
+                got = dressed._conv(quad, self.ZETA, lam[:n], vals, r, k)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.array_equal(got, want), (n, r, k, vals.dtype)
+
+    def test_real_dtype_lam(self):
+        quad = gauss_legendre(32, -0.45, 0.45)
+        vals = np.random.default_rng(3).uniform(-1, 1, 32)
+        for n in self.SIZES:
+            lam = np.linspace(-4.0, 4.0, n)
+            want = kernel_kr(lam.reshape(-1, 1) - quad.nodes, 2, self.ZETA, 1) @ (
+                quad.weights * vals)
+            got = dressed._conv(quad, self.ZETA, lam, vals, 2, 1)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want), n
+
+    def test_pole_in_last_block_raises(self):
+        # K(.|zeta) has a pole at i zeta; the node lies in the last of 4001 rows
+        quad = gauss_legendre(32, -0.45, 0.45)
+        lam = np.linspace(-4.0, 4.0, 4001) + 1j * self.ZETA
+        lam[-1] = quad.nodes[3] + 1j * self.ZETA
+        with pytest.raises(PoleProximityError, match="kernel_k sampled"):
+            dressed._conv(quad, self.ZETA, lam, np.ones(32))
 
 
 class TestPhaseCaching:

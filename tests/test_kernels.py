@@ -109,7 +109,9 @@ class TestRealPoleGuard:
 
 
 class TestNearPole:
-    ETAS = [1e-9, 1e-3, 0.9, pi / 2 - 1e-9, pi / 2, pi / 2 + 1e-9, pi - 1e-3, pi - 1e-9]
+    # 1e-13 and pi - 1e-13 put eta_hat within both tols of the real axis
+    ETAS = [1e-13, 1e-9, 1e-3, 0.9, pi / 2 - 1e-9, pi / 2, pi / 2 + 1e-9, pi - 1e-3,
+            pi - 1e-9, pi - 1e-13]
     NAN, INF = float("nan"), float("inf")
     NON_FINITE = [complex(NAN, 0), complex(0, NAN), complex(INF, 0),
                   complex(0, INF), complex(INF, NAN), complex(NAN, INF)]
@@ -131,6 +133,18 @@ class TestNearPole:
                     with_bad = lam.copy()
                     with_bad[3, 5] = bad
                     yield with_bad
+        # real matrices: near 0 or away from it, with and without non-finite entries
+        real = rng.uniform(0.1, 3, (40, 32)) * rng.choice([-1.0, 1.0], (40, 32))
+        for near in (None, tol / 4, -tol / 4):
+            lam = real.copy()
+            if near is not None:
+                lam[7, 11] = near
+            yield lam
+            for bad in (TestNearPole.NAN, TestNearPole.INF, -TestNearPole.INF):
+                with_bad = lam.copy()
+                with_bad[3, 5] = bad
+                yield with_bad
+        yield np.full((4, 4), TestNearPole.INF)
         yield complex(0.0, ehat) + tol / 2
         yield np.array(1j * ehat + 2 * tol)
         yield rng.uniform(-3, 3, 64)
