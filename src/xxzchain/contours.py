@@ -13,6 +13,12 @@ Everything here is parametrised by the anisotropy ``zeta`` and the
 velocity regime (through the closure signs ``tau_L``, ``tau_R``); no
 dressed data enters.  The module also evaluates classical squared
 Vandermonde reference integrals used as external cross-checks.
+
+The double sums over two sets of quadrature nodes take a near/far split in
+Re x (``_pair_form``): pairs in cells of width 1 at most one apart take one
+complex reciprocal each, and farther pairs a Chebyshev-U series in
+exp(2 (x_i - x_j)) through per-cell moments about the facing cell edges,
+truncated where its first dropped term is below 1e-17.
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ REGIME_GUARD = 1e-6
 HOOK_DEPTH = 0.05
 HOOK_CENTER = 0.2
 PAIR_BLOCK_ROWS = 256
+_CELL_WIDTH = 1.0
+# far-field series terms: the least M with (M + 1) exp(-2 (M + 1) w) < 1e-17
+_FAR_TERMS = next(m for m in range(99) if (m + 1) * math.exp(-2 * (m + 1) * _CELL_WIDTH) < 1e-17)
 
 
 def _sign_sin(k: int, zeta: float) -> int:
@@ -694,31 +703,76 @@ def _pair_matrix(nA, nB, coeffs):
     return R
 
 
+def _cells(nodes, values):
+    """Nodes and values sorted by Re x and cut into cells of width w = _CELL_WIDTH.
+
+    Node x lies in cell k when k w <= Re x < (k + 1) w.  Also returns the
+    occupied cells, the first sorted node of each, and each cell's moments
+    sum v z^(m+1), m < _FAR_TERMS, about its left edge (z = exp(-2 (x - k w)))
+    and its right edge (z = exp(2 (x - (k + 1) w))), as _FAR_TERMS x cells
+    arrays.  |z| <= 1, so no power can overflow.
+    """
+    order = np.argsort(nodes.real, kind="stable")
+    x, v = nodes[order], values[order]
+    k = np.floor(x.real / _CELL_WIDTH)
+    cells, starts = np.unique(k, return_index=True)
+    moments = []
+    for z in (np.exp(-2.0 * (x - k * _CELL_WIDTH)), np.exp(2.0 * (x - (k + 1) * _CELL_WIDTH))):
+        powers = [v * z]  # one product per term, a sixth of the time of np.cumprod
+        while len(powers) < _FAR_TERMS:
+            powers.append(powers[-1] * z)
+        moments.append(np.add.reduceat(np.array(powers), starts, axis=1))
+    return x, v, cells, starts, *moments
+
+
 def _pair_form(nA, vA, nB, vB, coeffs) -> complex:
     """vA @ R @ vB with R = _pair_matrix(nA, nB), without forming R.
 
-    R = 1 + (a - b) S with S = 1/Y, so the form is the rank-one term
-    (sum vA)(sum vB) plus (a - b) vA @ S @ vB.  S is built PAIR_BLOCK_ROWS
-    rows at a time, each block one rank-3 product and one reciprocal in
-    place, so the peak memory grows with len(nB) alone.  S is even in x: for
-    a node set paired with itself (``nB is nA`` and ``vB is vA``) only the
-    blocks on and right of the diagonal are built, the diagonal ones counted
-    once and the others twice.
+    R = 1 + (a - b) S with S = 1/Y, so the form is (sum vA)(sum vB) plus
+    (a - b) vA @ S @ vB, split over the cells of _cells.  Near field, cells
+    at most one apart: S is built PAIR_BLOCK_ROWS rows of a cell at a time,
+    each block one rank-3 product and one reciprocal in place.  Far field,
+    cells k <= l - 2: |X| < exp(-2w) and S = sum_m U_m(1 - b/2) X^(m+1)
+    (Abramowitz and Stegun 22.9.10); X^(m+1) is the right-edge moment of
+    cell k times exp(-2 (m+1)(l-k-1) w) times the left-edge moment of cell l,
+    each of modulus <= 1, and cells k >= l + 2 take the mirror series in 1/X.
+    As |U_m| <= m + 1, the first dropped term is below
+    (M + 1) exp(-2 (M + 1) w) < 1e-17 for M = _FAR_TERMS.  S is even in x:
+    for a node set paired with itself (``nB is nA`` and ``vB is vA``) only
+    the near cells on and right of the diagonal are built, the diagonal ones
+    counted once and the others twice, and the far pairs are counted twice.
     """
     a, b = coeffs
     symmetric = nB is nA and vB is vA
+    nA, vA, cellsA, startsA, leftA, rightA = cA = _cells(nA, vA)
+    nB, vB, cellsB, startsB, leftB, rightB = cA if symmetric else _cells(nB, vB)
     left, right = _pair_factors(nA, nB, b)
     total = 0.0j
-    for i in range(0, len(nA), PAIR_BLOCK_ROWS):
-        j = i + PAIR_BLOCK_ROWS
-        if symmetric:
-            S = left[i:j] @ right[:, i:]
-            vS = np.concatenate([vA[i:j], 2.0 * vA[j:]])
-        else:
-            S = left[i:j] @ right
-            vS = vB
-        np.reciprocal(S, out=S)
-        total += vA[i:j] @ (S @ vS)
+    boundsB = np.append(startsB, len(nB))
+    for c, i0, i1 in zip(cellsA, startsA, np.append(startsA[1:], len(nA))):
+        j0 = boundsB[np.searchsorted(cellsB, c if symmetric else c - 1)]
+        j1 = boundsB[np.searchsorted(cellsB, c + 1, side="right")]
+        vS = np.concatenate([vB[j0:i1], 2.0 * vB[i1:j1]]) if symmetric else vB[j0:j1]
+        for i in range(i0, i1, PAIR_BLOCK_ROWS):
+            j = min(i + PAIR_BLOCK_ROWS, i1)
+            S = left[i:j] @ right[:, j0:j1]
+            np.reciprocal(S, out=S)
+            total += vA[i:j] @ (S @ vS)
+    U = [1.0, 2.0 - b]
+    while len(U) < _FAR_TERMS:
+        U.append((2.0 - b) * U[-1] - U[-2])
+    gap = cellsB[None, :] - cellsA[:, None]
+
+    def far(mA, d, mB):
+        # exp(-2 (m+1)(d-1) w) between the facing edges of cells d >= 2 apart
+        d = np.where(d > 1, d - 1, np.inf)
+        decay = np.exp(-2.0 * _CELL_WIDTH * np.multiply.outer(d, np.arange(1, _FAR_TERMS + 1)))
+        return np.einsum("m,ma,abm,mb->", U, mA, decay, mB)
+
+    if symmetric:
+        total += 2.0 * far(rightA, gap, leftB)
+    else:
+        total += far(rightA, gap, leftB) + far(leftA, -gap, rightB)
     return np.sum(vA) * np.sum(vB) + (a - b) * total
 
 
@@ -759,8 +813,11 @@ def _int3_pair(
     f3 = w3 * J.g(n3)
     coeffs = _pair20_coeffs(zeta)
     R12 = _pair_matrix(n1, n2, coeffs)
-    R13 = _pair_matrix(n1, n3, coeffs)
-    R23 = _pair_matrix(n2, n3, coeffs)
+    if c1 is c2 is c3:
+        R13 = R23 = R12
+    else:
+        R13 = _pair_matrix(n1, n3, coeffs)
+        R23 = _pair_matrix(n2, n3, coeffs)
     M = f1[:, None] * R12 * f2[None, :]
     T = M @ R23
     return complex(np.einsum("ik,ik,k->", R13, T, f3) / (2 * pi) ** 3)
@@ -852,13 +909,19 @@ def eval_identity_n2(
     cluster = _int1(c2, red01)
     lhs = 0.5 * _int2_pair(c1, c1, J, zeta) + cluster
 
+    outer = contour_c1a(zeta, tau_L, tau_R, A, order, 0.0, q, delta, refine)
+    if not J.is_zero:
+        certify_clearance(outer, J.g_poles(), label="encased outer")
+    nO, wO = outer.discretize()
+    vO = wO * J.g(nO)
+
     def encased(s: float) -> complex:
-        outer = contour_c1a(zeta, tau_L, tau_R, A, order, 0.0, q, delta, refine)
         inner = contour_c1a(zeta, tau_L, tau_R, A, order, s, q, delta, refine)
         if not J.is_zero:
-            certify_clearance(outer, J.g_poles(), label="encased outer")
             certify_clearance(inner, J.g_poles(), label="encased inner")
-        return 0.5 * _int2_pair(outer, inner, J, zeta)
+        nI, wI = inner.discretize()
+        total = _pair_form(nO, vO, nI, wI * J.g(nI), _pair20_coeffs(zeta))
+        return 0.5 * complex(total / (2 * pi) ** 2)
 
     vals = [encased(separation * (2**k)) for k in range(levels)]
     rhs = _richardson(vals)
@@ -939,11 +1002,14 @@ def eval_identity_n3(
         + _int1(c3, red001)
     )
 
+    built = {}
+
     def make_loop(s: float) -> ContourSpec:
-        loop = contour_c1a(zeta, tau_L, tau_R, A, order, s, q, delta, refine)
-        if not J.is_zero:
-            certify_clearance(loop, J.g_poles(), label="encased loop")
-        return loop
+        if s not in built:
+            built[s] = contour_c1a(zeta, tau_L, tau_R, A, order, s, q, delta, refine)
+            if not J.is_zero:
+                certify_clearance(built[s], J.g_poles(), label="encased loop")
+        return built[s]
 
     def encased(s: float) -> complex:
         loops = [make_loop(k * s) for k in range(3)]

@@ -85,11 +85,14 @@ def kernel_k(lam, eta: float, k: int = 0):
         raise PoleProximityError(f"kernel_k sampled within {POLE_ERROR_DIST} of a pole")
     if k == 0:
         return s2 / (pi * (np.cosh(2 * lam) - np.cos(2 * eta)))
-    d = np.cosh(2 * lam) - np.cos(2 * eta)
     if k == 1:
+        # kept apart from the k = 2 form: fewer arrays alive, faster on large real lam
+        d = np.cosh(2 * lam) - np.cos(2 * eta)
         return -2 * s2 * np.sinh(2 * lam) / (pi * d * d)
-    sh = np.sinh(2 * lam)
-    return s2 * (-4 * np.cosh(2 * lam) / (pi * d * d) + 8 * sh * sh / (pi * d * d * d))
+    lam2 = 2 * lam
+    ch, sh = np.cosh(lam2), np.sinh(lam2)
+    d = ch - np.cos(2 * eta)
+    return s2 * (-4 * ch / (pi * d * d) + 8 * sh * sh / (pi * d * d * d))
 
 
 def kernel_kr(lam, r: int, zeta: float, k: int = 0, shift: float = 0.0):

@@ -44,6 +44,17 @@ RNG = np.random.default_rng(7)
 N2_QUICK_REFERENCE = json.loads(
     (Path(__file__).parent / "data" / "n2_quick_reference.json").read_text()
 )
+# lhs and rhs of the small-compactification and n=3 cases below, written by
+# tests/data/make_contour_reference.py
+CONTOUR_REFERENCE = json.loads(
+    (Path(__file__).parent / "data" / "contour_reference.json").read_text()
+)
+
+
+def _assert_reference(rep, name):
+    for side in ("lhs", "rhs"):
+        want = complex(*CONTOUR_REFERENCE[name][side])
+        assert abs(rep[side] - want) < 1e-13 * abs(want), (name, side, rep[side])
 
 
 def _random_points(n):
@@ -304,6 +315,20 @@ class TestPairKernels:
                     got = contours._pair_form(x0, v, x1, v, coeffs(zeta))
                     assert abs(got - v @ want @ v) < 1e-13 * abs(v @ want @ v)
 
+    def test_lhs_pair_matrix_built_once(self, monkeypatch):
+        zeta = 0.35 * pi
+        J = TestFunctionJ(3, (2.0 + 1.5j,))
+        copies = [contour_c1(zeta, L=4.0, order=24) for _ in range(3)]
+        three = contours._int3_pair(*copies, J, zeta)
+        calls = []
+        orig = contours._pair_matrix
+        monkeypatch.setattr(
+            contours, "_pair_matrix", lambda *a: calls.append(a) or orig(*a)
+        )
+        c = copies[0]
+        assert contours._int3_pair(c, c, c, J, zeta) == three
+        assert len(calls) == 1
+
     def test_n2_peak_memory_bounded(self):
         J = TestFunctionJ(2, (2.0 + 1.5j,), label="w1")
         tracemalloc.start()
@@ -313,6 +338,73 @@ class TestPairKernels:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+def _dense_form(nA, vA, nB, vB, coeffs):
+    # the all-pairs sum: one reciprocal of the rank-3 product per node pair
+    a, b = coeffs
+    left, right = contours._pair_factors(nA, nB, b)
+    return np.sum(vA) * np.sum(vB) + (a - b) * (vA @ (1.0 / (left @ right)) @ vB)
+
+
+def _far_field_sets(kind):
+    """Two node sets for TestPairFarField, and whether they stay off the poles
+    of S at zeta = pi/2 (pair20) and pi/3 (pair110)."""
+    rng = np.random.default_rng(23)
+
+    def scatter(lo, hi, n):
+        return rng.uniform(lo, hi, n) + 1j * rng.uniform(-0.25, 0.25, n)
+
+    if kind == "one-cell":
+        return scatter(0.05, 0.95, 300), scatter(0.05, 0.95, 200), True
+    if kind == "many-cells":
+        return scatter(-9.0, 9.0, 700), scatter(-6.5, 11.0, 500), True
+    if kind == "vertical":
+        # columns on cell edges, just below one, and inside cells
+        cols = np.array([-3.0, -0.5, 0.0, 1.0 - 1e-13, 2.0, 4.0, 6.25])
+        nA = rng.choice(cols, 400) + 1j * rng.uniform(-0.25, 0.25, 400)
+        return np.concatenate([nA, scatter(-4.0, 7.0, 100)]), scatter(-4.0, 7.0, 300), True
+    if kind == "contours":
+        zeta = 0.35 * pi
+        nA, _ = contour_c1(zeta, L=6.0, order=16).discretize()
+        nB, _ = contour_c1a(zeta, 1, -1, 3.5, order=16, inset=0.02, refine=True).discretize()
+        return nA, nB, False
+    # both ends at |Re x| = MAX_TRUNCATION, so |Re (x_i - x_j)| reaches twice that
+    L = contours.MAX_TRUNCATION
+    ends = np.array([L, -L, L + 0.25j, -L - 0.25j])
+    nA = np.concatenate([ends, scatter(-L, L, 600)])
+    return nA, np.concatenate([-ends, scatter(-L, L, 400)]), True
+
+
+class TestPairFarField:
+    # pair20 at pi/2 and pair110 at pi/3 put 1 - b/2 at -1, where
+    # |U_m(1 - b/2)| = m + 1 reaches its bound
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["pair", "self"])
+    @pytest.mark.parametrize(
+        "kind", ["one-cell", "many-cells", "vertical", "contours", "truncation-limit"]
+    )
+    def test_matches_dense_sum(self, kind, symmetric):
+        nA, nB, off_poles = _far_field_sets(kind)
+        rng = np.random.default_rng(5)
+        cases = [
+            (contours._pair20_coeffs, 0.35 * pi),
+            (contours._pair110_coeffs, 0.35 * pi),
+        ]
+        if off_poles:
+            cases += [(contours._pair20_coeffs, pi / 2), (contours._pair110_coeffs, pi / 3)]
+        # values of one rough phase, so the sums do not cancel to rounding
+        vA, vB = (
+            rng.uniform(0.5, 1.5, len(n)) * np.exp(1j * rng.uniform(-0.5, 0.5, len(n)))
+            for n in (nA, nB)
+        )
+        if symmetric:
+            nB, vB = nA, vA
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for coeffs, zeta in cases:
+                got = contours._pair_form(nA, vA, nB, vB, coeffs(zeta))
+                want = _dense_form(nA, vA, nB, vB, coeffs(zeta))
+                assert abs(got - want) < 1e-14 * abs(want), (coeffs.__name__, zeta, got, want)
 
 
 class TestIdentityN2:
@@ -340,6 +432,27 @@ class TestIdentityN2:
             separation=0.02,
         )
         assert rep["rel_diff"] < 1e-6, rep
+        _assert_reference(rep, "n2_small_compactification")
+
+    def test_outer_loop_discretized_once(self, monkeypatch):
+        calls = []
+        orig = ContourSpec.discretize
+
+        def spy(self):
+            calls.append(self.cid)
+            return orig(self)
+
+        monkeypatch.setattr(ContourSpec, "discretize", spy)
+        eval_identity_n2(
+            TestFunctionJ(2, (2.0 + 1.5j,)),
+            1.5,
+            0.35 * pi,
+            A=3.5,
+            levels=2,
+            separation=0.02,
+        )
+        # C1, C2 and the rays once each; C1A once outer and once per level inner
+        assert sorted(calls) == ["C1", "C1A", "C1A", "C1A", "C2", "C2A-rays"]
 
     def test_small_compactification_needs_rays(self, monkeypatch):
         orig = contours.ray_panels_c2a
@@ -404,13 +517,20 @@ class TestIdentityN3:
         rep = eval_identity_n3(TestFunctionJ(3, (2.0 + 1.5j,)), v, 0.35 * pi)
         assert rep["rel_diff"] < 1e-4, rep
         assert not rep["correction_active"]
+        _assert_reference(rep, f"n3_correction_absent_v{v}")
 
     def test_correction_branch(self):
         rep = eval_identity_n3(TestFunctionJ(3, (2.0 + 1.5j,)), 0.5, 0.2 * pi)
         assert rep["rel_diff"] < 1e-4, rep
         assert rep["correction_active"]
+        _assert_reference(rep, "n3_correction_branch")
 
-    def test_small_compactification(self):
+    def test_small_compactification(self, monkeypatch):
+        insets = []
+        orig = contours.contour_c1a
+        monkeypatch.setattr(
+            contours, "contour_c1a", lambda *a: insets.append(a[5]) or orig(*a)
+        )
         rep = eval_identity_n3(
             TestFunctionJ(3, (2.0 + 1.5j,)),
             1.5,
@@ -420,6 +540,9 @@ class TestIdentityN3:
             separation=0.02,
         )
         assert rep["rel_diff"] < 1e-4, rep
+        _assert_reference(rep, "n3_small_compactification")
+        # one loop per distinct separation across both Richardson levels
+        assert sorted(insets) == [0.0, 0.02, 0.04, 0.08]
 
     def test_anisotropy_thirds_rejected(self):
         with pytest.raises(DegenerateAnisotropyError):
