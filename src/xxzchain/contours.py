@@ -673,11 +673,12 @@ def certify_clearance(
 
 
 # ---------------------------------------------------------------------------
-# quadrature drivers
+# quadrature drivers, on node sets d = (nodes, weights) from
+# ContourSpec.discretize: a caller discretizes each contour once
 
 
-def _int1(contour: ContourSpec, f) -> complex:
-    nodes, w = contour.discretize()
+def _int1(d, f) -> complex:
+    nodes, w = d
     return complex(np.sum(w * f(nodes)) / (2 * pi))
 
 
@@ -776,21 +777,21 @@ def _pair_form(nA, vA, nB, vB, coeffs) -> complex:
     return np.sum(vA) * np.sum(vB) + (a - b) * total
 
 
-def _int2_pair(cA: ContourSpec, cB: ContourSpec, J: TestFunctionJ, zeta: float) -> complex:
-    nA, wA = cA.discretize()
+def _int2_pair(dA, dB, J: TestFunctionJ, zeta: float) -> complex:
+    nA, wA = dA
     vA = wA * J.g(nA)
-    if cB is cA:
+    if dB is dA:
         nB, vB = nA, vA
     else:
-        nB, wB = cB.discretize()
+        nB, wB = dB
         vB = wB * J.g(nB)
     total = _pair_form(nA, vA, nB, vB, _pair20_coeffs(zeta))
     return complex(total / (2 * pi) ** 2)
 
 
-def _int2_reduced(cA: ContourSpec, cB: ContourSpec, red: Reduced110) -> complex:
-    nA, wA = cA.discretize()
-    nB, wB = cB.discretize()
+def _int2_reduced(dA, dB, red: Reduced110) -> complex:
+    nA, wA = dA
+    nB, wB = dB
     J, z = red.J, red.zeta
     vA = wA * J.g(nA)
     vB = red.prefactor * wB * J.g(nB + 0.5j * z) * J.g(nB - 0.5j * z)
@@ -798,22 +799,16 @@ def _int2_reduced(cA: ContourSpec, cB: ContourSpec, red: Reduced110) -> complex:
     return complex(total / (2 * pi) ** 2)
 
 
-def _int3_pair(
-    c1: ContourSpec,
-    c2: ContourSpec,
-    c3: ContourSpec,
-    J: TestFunctionJ,
-    zeta: float,
-) -> complex:
-    n1, w1 = c1.discretize()
-    n2, w2 = c2.discretize()
-    n3, w3 = c3.discretize()
+def _int3_pair(d1, d2, d3, J: TestFunctionJ, zeta: float) -> complex:
+    n1, w1 = d1
+    n2, w2 = d2
+    n3, w3 = d3
     f1 = w1 * J.g(n1)
     f2 = w2 * J.g(n2)
     f3 = w3 * J.g(n3)
     coeffs = _pair20_coeffs(zeta)
     R12 = _pair_matrix(n1, n2, coeffs)
-    if c1 is c2 is c3:
+    if d1 is d2 is d3:
         R13 = R23 = R12
     else:
         R13 = _pair_matrix(n1, n3, coeffs)
@@ -906,8 +901,9 @@ def eval_identity_n2(
         certify_clearance(c2, red01.poles(), label="2-cluster density")
         certify_clearance(rays, red01.poles(), label="2-cluster rays")
 
-    cluster = _int1(c2, red01)
-    lhs = 0.5 * _int2_pair(c1, c1, J, zeta) + cluster
+    cluster = _int1(c2.discretize(), red01)
+    d1 = c1.discretize()
+    lhs = 0.5 * _int2_pair(d1, d1, J, zeta) + cluster
 
     outer = contour_c1a(zeta, tau_L, tau_R, A, order, 0.0, q, delta, refine)
     if not J.is_zero:
@@ -925,7 +921,7 @@ def eval_identity_n2(
 
     vals = [encased(separation * (2**k)) for k in range(levels)]
     rhs = _richardson(vals)
-    rhs += cluster - 0.5 * s2 * _int1(rays, red01)
+    rhs += cluster - 0.5 * s2 * _int1(rays.discretize(), red01)
 
     return _report(
         "n2",
@@ -996,19 +992,21 @@ def eval_identity_n3(
         if correction_active(zeta):
             certify_clearance(javs, red001.poles(), label="vertical correction")
 
+    d1, d2, d3 = c1.discretize(), c2.discretize(), c3.discretize()
     lhs = (
-        _int3_pair(c1, c1, c1, J, zeta) / 6.0
-        + _int2_reduced(c1, c2, red110)
-        + _int1(c3, red001)
+        _int3_pair(d1, d1, d1, J, zeta) / 6.0
+        + _int2_reduced(d1, d2, red110)
+        + _int1(d3, red001)
     )
 
     built = {}
 
-    def make_loop(s: float) -> ContourSpec:
+    def make_loop(s: float):
         if s not in built:
-            built[s] = contour_c1a(zeta, tau_L, tau_R, A, order, s, q, delta, refine)
+            loop = contour_c1a(zeta, tau_L, tau_R, A, order, s, q, delta, refine)
             if not J.is_zero:
-                certify_clearance(built[s], J.g_poles(), label="encased loop")
+                certify_clearance(loop, J.g_poles(), label="encased loop")
+            built[s] = loop.discretize()
         return built[s]
 
     def encased(s: float) -> complex:
@@ -1017,13 +1015,13 @@ def eval_identity_n3(
 
     rhs = _richardson([encased(separation * (2**k)) for k in range(levels)])
     loop0 = make_loop(0.0)
-    rhs += _int2_reduced(loop0, c2, red110) - 0.5 * s2 * _int2_reduced(
-        loop0, rays2, red110
+    rhs += _int2_reduced(loop0, d2, red110) - 0.5 * s2 * _int2_reduced(
+        loop0, rays2.discretize(), red110
     )
-    rhs += _int1(c3, red001) - s3 * s2 * _int1(tails3, red001)
+    rhs += _int1(d3, red001) - s3 * s2 * _int1(tails3.discretize(), red001)
     correction = 0.0 + 0.0j
     if correction_active(zeta):
-        correction = _int1(javs, red001) / 3.0
+        correction = _int1(javs.discretize(), red001) / 3.0
         rhs += correction
 
     return _report(

@@ -7,7 +7,8 @@ Species are labelled by the string length r >= 1, with the convention that
 zeros of u_1' on the real line are reported as species 0 (hole branch) and
 zeros on R + i pi/2 as species 1. Characteristic velocities: the Fermi
 velocity v_F, the common large-|lam| velocity v_inf, and the per-species
-thresholds v_r^(m), v_r^(M) located by bisection on saddle counts.
+thresholds v_r^(m), v_r^(M) read off the extrema of the velocity curve
+V_r = eps_r'/p_r' on each carrier line.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .strings import string_exists
 SCAN_HALF_WIDTH = 15.0
 SCAN_POINTS = 2000
 NEAR_CRITICAL_BAND = 1e-6
-THRESHOLD_RESOLUTION = 1e-3
+REFINE_POINTS = 129
 DEGENERATE_CURVATURE = 1e-8
 ASYMPTOTIC_PROBE_X = 12.0
 
@@ -208,53 +209,53 @@ def find_saddles(r: int, v: float, ds: DressedSet, vinf: float | None = None,
     return out
 
 
-def _count_zeros(ds: DressedSet, r: int, v: float, line_im: float) -> int:
-    _, vals = _scan(ds, r, v, line_im)
-    sign = np.sign(vals)
-    return int(np.count_nonzero(sign[:-1] * sign[1:] < 0))
+def _extremal_speeds(ds: DressedSet, r: int, line_im: float, vinf: float):
+    """|V_r| at the interior extrema of V_r = eps_r'/p_r' on one carrier line,
+    or None where p_r' changes sign on the scan grid.
 
-
-def _species_count(ds: DressedSet, r: int, v: float) -> int:
-    if r == 1:
-        return _count_zeros(ds, 1, v, 0.0) + _count_zeros(ds, 1, v, pi / 2)
-    return _count_zeros(ds, r, v, _carrier_im(r, ds))
-
-
-def _bisect_boundary(pred, lo: float, hi: float, res: float) -> float:
-    """Largest v in [lo, hi] where pred holds, assuming pred(lo) and not pred(hi)."""
-    while hi - lo > res:
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    V_r is odd in Re(lam): the extrema at Re(lam) >= 0 stand for their mirror
+    images. Each is found on the scan grid of `_line_curves`, then refined by
+    one evaluation on REFINE_POINTS points across its two cells and the
+    parabola through the extreme point and its neighbours (on the scan grid
+    alone that is off by up to 1e-4 relative where V_r peaks sharply).
+    Extrema in the guard band of v_inf (rounding wiggles in the tails) are
+    dropped: they move the saddle count only at refused velocities.
+    """
+    grid, pd1, ed1 = _line_curves(ds, r, line_im)
+    pd1 = np.real(pd1)
+    if not (np.all(pd1 > 0) or np.all(pd1 < 0)):
+        return None
+    vel = np.real(ed1) / pd1
+    dv = np.diff(vel)
+    speeds = []
+    for i in np.nonzero((dv[:-1] * dv[1:] < 0) & (grid[1:-1] >= 0))[0] + 1:
+        if abs(abs(vel[i]) - vinf) < NEAR_CRITICAL_BAND * vinf:
+            continue
+        lam = np.linspace(grid[i - 1], grid[i + 1], REFINE_POINTS) + 1j * line_im
+        local = np.real(ds.eps_r(lam, r, 1)) / np.real(ds.p_r_d(lam, r))
+        # a maximum of V_r where it rises into the extremum, else a minimum
+        j = min(max(int(np.argmax(np.sign(dv[i - 1]) * local)), 1), REFINE_POINTS - 2)
+        a, b, c = local[j - 1:j + 2]
+        speeds.append(abs(b - (c - a) ** 2 / (8 * (c - 2 * b + a))))
+    return speeds
 
 
 def _thresholds(ds: DressedSet, r: int, vinf: float):
-    """(v_r^(m), v_r^(M)) estimated from saddle counts as |v| grows."""
-    res = THRESHOLD_RESOLUTION * vinf
-    count = lambda v: _species_count(ds, r, v)
-    if r == 1:
-        # one zero per line is the defining state below v_1^(m)
-        single = lambda v: (
-            _count_zeros(ds, 1, v, 0.0) == 1
-            and _count_zeros(ds, 1, v, pi / 2) == 1
-        )
-    else:
-        single = lambda v: count(v) == 1
+    """(v_r^(m), v_r^(M)): the least and the greatest of v_inf and the |V_r|
+    at the interior extrema of V_r on the species' lines (both for r = 1);
+    (None, None) where p_r' changes sign on a line.
 
-    hi = 1.5 * vinf
-    while count(hi) > 0:
-        hi *= 2.0
-        if hi > 64 * vinf:
+    Where p_r' keeps one sign, u_r' = 0 exactly where V_r = v. On each line
+    V_r is odd and tends to +-v_inf, so the saddle count at v > 0 changes
+    only at v_inf and at these extremal values.
+    """
+    values = [vinf]
+    for line_im in ((0.0, pi / 2) if r == 1 else (_carrier_im(r, ds),)):
+        speeds = _extremal_speeds(ds, r, line_im, vinf)
+        if speeds is None:
             return None, None
-    lo = 0.5 * vinf
-    if count(lo) == 0:
-        return None, None
-    v_max = _bisect_boundary(lambda v: count(v) > 0, lo, hi, res)
-    v_min = _bisect_boundary(single, 0.5 * vinf, v_max + res, res)
-    return v_min, v_max
+        values += speeds
+    return float(min(values)), float(max(values))
 
 
 def classify_structure(v: float, ds: DressedSet, r_max: int = 8,

@@ -253,8 +253,8 @@ class TestPairKernels:
         zeta = 0.35 * pi
         cA = contour_c1(zeta, L=4.0, order=24)
         cB = contour_c1a(zeta, 1, -1, 4.0, order=24, inset=0.01)
-        nA, wA = cA.discretize()
-        nB, wB = cB.discretize()
+        dA, dB = cA.discretize(), cB.discretize()
+        (nA, wA), (nB, wB) = dA, dB
         block = contours.PAIR_BLOCK_ROWS
         assert len(nA) > block and len(nA) % block != 0
         x = nA[:, None] - nB[None, :]
@@ -264,7 +264,7 @@ class TestPairKernels:
             v = wA * J.g(nA)
             xx = nA[:, None] - nA[None, :]
             want = v @ _sinh_pair20(xx, zeta) @ v
-            got = contours._int2_pair(cA, cA, J, zeta) * (2 * pi) ** 2
+            got = contours._int2_pair(dA, dA, J, zeta) * (2 * pi) ** 2
             assert abs(got - want) < 1e-13 * abs(want)
             want = v @ _sinh_pair110(xx, zeta) @ v
             got = contours._pair_form(nA, v, nA, v, contours._pair110_coeffs(zeta))
@@ -273,7 +273,7 @@ class TestPairKernels:
         if case == "pair110":
             J = TestFunctionJ(3, (1.8 - 1.2j,))
             red = Reduced110(J, zeta)
-            got = contours._int2_reduced(cA, cB, red)
+            got = contours._int2_reduced(dA, dB, red)
             F = (
                 red.prefactor
                 * _sinh_pair110(x, zeta)
@@ -283,7 +283,7 @@ class TestPairKernels:
             want = wA @ F @ wB / (2 * pi) ** 2
         else:
             J = TestFunctionJ(2, (2.0 + 1.5j,))
-            got = contours._int2_pair(cA, cB, J, zeta)
+            got = contours._int2_pair(dA, dB, J, zeta)
             want = (wA * J.g(nA)) @ _sinh_pair20(x, zeta) @ (wB * J.g(nB)) / (2 * pi) ** 2
         assert abs(got - want) < 1e-13 * abs(want)
 
@@ -318,15 +318,15 @@ class TestPairKernels:
     def test_lhs_pair_matrix_built_once(self, monkeypatch):
         zeta = 0.35 * pi
         J = TestFunctionJ(3, (2.0 + 1.5j,))
-        copies = [contour_c1(zeta, L=4.0, order=24) for _ in range(3)]
+        copies = [contour_c1(zeta, L=4.0, order=24).discretize() for _ in range(3)]
         three = contours._int3_pair(*copies, J, zeta)
         calls = []
         orig = contours._pair_matrix
         monkeypatch.setattr(
             contours, "_pair_matrix", lambda *a: calls.append(a) or orig(*a)
         )
-        c = copies[0]
-        assert contours._int3_pair(c, c, c, J, zeta) == three
+        d = copies[0]
+        assert contours._int3_pair(d, d, d, J, zeta) == three
         assert len(calls) == 1
 
     def test_n2_peak_memory_bounded(self):
@@ -543,6 +543,29 @@ class TestIdentityN3:
         _assert_reference(rep, "n3_small_compactification")
         # one loop per distinct separation across both Richardson levels
         assert sorted(insets) == [0.0, 0.02, 0.04, 0.08]
+
+    @pytest.mark.parametrize("zeta, v, extra", [
+        (0.35 * pi, 1.5, []),
+        (0.2 * pi, 0.5, ["J_Av"]),
+    ], ids=["correction-absent", "correction-branch"])
+    def test_each_contour_discretized_once(self, monkeypatch, zeta, v, extra):
+        calls = []
+        orig = ContourSpec.discretize
+
+        def spy(self):
+            calls.append(self.cid)
+            return orig(self)
+
+        monkeypatch.setattr(ContourSpec, "discretize", spy)
+        # a low order keeps it quick: only the calls are counted
+        eval_identity_n3(
+            TestFunctionJ(3, (2.0 + 1.5j,)), v, zeta,
+            A=3.5, order=12, levels=2, separation=0.02,
+        )
+        # C1A once per separation 0, 0.02, 0.04 and 0.08
+        assert sorted(calls) == sorted(
+            ["C1", "C2", "C3", "C2A-rays", "C3A-tails"] + ["C1A"] * 4 + extra
+        )
 
     def test_anisotropy_thirds_rejected(self):
         with pytest.raises(DegenerateAnisotropyError):

@@ -8,7 +8,10 @@ solve, velocities and strings files were generated on commit 2d0125f, before
 the Nystrom condition number came from the LU (gecon) instead of an explicit
 inverse. The q-mode `xxz solve` files (solve_q_*) at the two space-like
 points were generated on commit 0d2b44f, before the endpoint values Z(q) and
-eps(q) that give h in q mode came from the one Nystrom interpolant. Counts,
+eps(q) that give h in q mode came from the one Nystrom interpolant. Only the
+`thresholds` entries of the saddles files were rewritten, by the first commit
+after fa4e8fe, which reads them off the extrema of V_r = eps_r'/p_r' instead
+of a bisection on saddle counts (v_inf exactly where V_r is monotone). Counts,
 row order and integer fields must match exactly; floats must agree to 1e-12
 relative (complex pairs by modulus).
 """

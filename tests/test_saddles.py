@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 from math import pi
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 import xxzchain.saddles as saddles
+from xxzchain.cli import run
 from xxzchain.dressed import DressedSet, ModelParams, solve_dressed_set
+from xxzchain.quadrature import find_root_bracketed
 from xxzchain.errors import (
     InvalidStringError,
     NearCriticalError,
@@ -194,15 +197,129 @@ class TestClassifyStructure:
         ds = sets[(0.5365, 0.2)]
         vinf = v_infinity(ds)
         rep = classify_structure(0.5 * vinf, ds, r_max=8)
-        # v_r^(m) = v_inf within bisection resolution for every species
-        for r, (v_m, v_max) in rep.thresholds.items():
-            assert abs(v_m - vinf) < 5e-3 * vinf, (r, v_m)
-        # species-1 cap sits just above v_inf (genuine 0.4% overshoot on
-        # the upper line); bound-state caps coincide with v_inf
-        assert abs(rep.thresholds[1][1] - vinf) < 5e-3 * vinf + 0.017
-        for r in rep.thresholds:
-            if r >= 2:
-                assert abs(rep.thresholds[r][1] - vinf) < 5e-3 * vinf
+        for r, got in rep.thresholds.items():
+            _assert_thresholds(got, _reference_thresholds(ds, r, vinf), vinf)
+        # bound states have monotone velocity curves: both thresholds are v_inf;
+        # species 1 overshoots v_inf by 0.4% on the upper line
+        assert all(rep.thresholds[r] == (vinf, vinf) for r in rep.thresholds if r >= 2)
+        assert rep.thresholds[1][0] == vinf
+        assert 1.003 * vinf < rep.thresholds[1][1] < 1.005 * vinf
+
+
+def _line_speeds(ds, r, line_im, vinf):
+    """|V_r| at the extrema of V_r = eps_r'/p_r' at Re lam >= 0 on one line,
+    each refined by brentq on eps_r'' p_r' - eps_r' p_r''; extrema within
+    1e-9 of v_inf (rounding wiggles in the tails) are left out."""
+    grid = np.linspace(0.0, saddles.SCAN_HALF_WIDTH, saddles.SCAN_POINTS // 2)
+
+    def curves(x):
+        lam = x + 1j * line_im
+        return [np.real(f(lam, r, k)) for f in (ds.eps_r, ds.p_r_d) for k in (1, 2)]
+
+    def slope_numerator(x):
+        e1, e2, p1, p2 = curves(x)
+        return e2 * p1 - e1 * p2
+
+    e1, _, p1, _ = curves(grid)
+    g = slope_numerator(grid)
+    out = []
+    for i in np.nonzero(g[:-1] * g[1:] < 0)[0]:
+        if abs(abs(e1[i] / p1[i]) - vinf) < 1e-9 * vinf:
+            continue
+        x = find_root_bracketed(
+            lambda x: float(slope_numerator(x)), float(grid[i]), float(grid[i + 1])
+        )
+        e1x, _, p1x, _ = curves(x)
+        out.append(abs(float(e1x / p1x)))
+    return out
+
+
+def _lines(ds, r):
+    return (0.0, pi / 2) if r == 1 else (string_exists(r, ds.zeta).line_im,)
+
+
+def _reference_thresholds(ds, r, vinf):
+    speeds = [vinf] + [s for im in _lines(ds, r) for s in _line_speeds(ds, r, im, vinf)]
+    return min(speeds), max(speeds)
+
+
+def _assert_thresholds(got, want, vinf):
+    # v_inf itself is taken as given; an extremal value to 1e-8 relative
+    assert got[0] <= got[1], got
+    for g, w in zip(got, want):
+        assert type(g) is float
+        assert g == w if w == vinf else abs(g - w) <= 1e-8 * w, (got, want, vinf)
+
+
+class TestThresholds:
+    """v_r^(m) and v_r^(M) from the extrema of V_r on each carrier line."""
+
+    POINTS = [(0.4204, 0.45), (0.7295, 0.3), (0.8633, 0.763)]
+
+    @pytest.fixture(scope="class")
+    def order32(self):
+        return {
+            key: solve_dressed_set(ModelParams(J=1.0, zeta=key[0] * pi, q=key[1], order=32))
+            for key in self.POINTS
+        }
+
+    @pytest.mark.parametrize("key", POINTS, ids=[f"{z}pi-q{q}" for z, q in POINTS])
+    def test_match_refined_extrema(self, order32, key):
+        ds = order32[key]
+        vinf = v_infinity(ds)
+        rep = classify_structure(0.5 * vinf, ds, r_max=2)
+        assert set(rep.thresholds) == {1, 2}
+        for r, got in rep.thresholds.items():
+            _assert_thresholds(got, _reference_thresholds(ds, r, vinf), vinf)
+            for line_im in _lines(ds, r):
+                got_line = sorted(saddles._extremal_speeds(ds, r, line_im, vinf))
+                want_line = sorted(_line_speeds(ds, r, line_im, vinf))
+                assert len(got_line) == len(want_line), (r, line_im)
+                for g, w in zip(got_line, want_line):
+                    assert abs(g - w) <= 1e-8 * w, (r, line_im, g, w)
+
+    def test_monotone_and_overshoot(self, order32):
+        # 0.4204 pi: V_2 is monotone, so both r = 2 thresholds are v_inf
+        ds = order32[(0.4204, 0.45)]
+        vinf = v_infinity(ds)
+        assert saddles._thresholds(ds, 2, vinf) == (vinf, vinf)
+        # 0.8633 pi: V_1 overshoots v_inf on the upper line only, V_2 on its line
+        ds = order32[(0.8633, 0.763)]
+        vinf = v_infinity(ds)
+        assert len(saddles._extremal_speeds(ds, 1, 0.0, vinf)) == 0
+        assert len(saddles._extremal_speeds(ds, 1, pi / 2, vinf)) == 1
+        for r, lo, hi in ((1, 3.0, 3.3), (2, 1.5, 1.7)):
+            v_min, v_max = saddles._thresholds(ds, r, vinf)
+            assert v_min == vinf and lo * vinf < v_max < hi * vinf, (r, v_max / vinf)
+
+    def test_counts_change_only_at_thresholds(self, order32):
+        # above v_r^(M) no saddle; between v_inf and v_r^(M) two per overshoot,
+        # 1% off the peak, where the scan grid resolves both
+        ds = order32[(0.8633, 0.763)]
+        vinf = v_infinity(ds)
+        for r in (1, 2):
+            v_max = saddles._thresholds(ds, r, vinf)[1]
+            above = find_saddles(r, 1.01 * v_max, ds)
+            below = find_saddles(r, 0.99 * v_max, ds)
+            assert len(above) == 0 and len(below) == 2, (r, len(above), len(below))
+
+    def test_sign_change_of_momentum_gives_none(self, order32, monkeypatch):
+        ds = order32[(0.4204, 0.45)]
+        vinf = v_infinity(ds)
+        grid, pd1, ed1 = saddles._line_curves(ds, 2, string_exists(2, ds.zeta).line_im)
+        flipped = np.where(np.abs(grid) < 1.0, -pd1, pd1)
+        monkeypatch.setattr(saddles, "_line_curves", lambda *a: (grid, flipped, ed1))
+        assert saddles._thresholds(ds, 2, vinf) == (None, None)
+
+    def test_reported_species_at_04204(self, capsys):
+        # v just below v_inf: the r = 2 saddle is reported and r = 2 is in n_sp
+        argv = ["saddles", "--zeta", "0.4204pi", "--q", "0.45", "--v", "4.4395", "--rmax", "2"]
+        assert run(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["counts"] == {"0": 1, "1": 1, "2": 1}
+        assert out["n_sp"] == [1, 2]
+        for v_min, v_max in out["thresholds"].values():
+            assert v_min <= out["v_inf"] <= v_max
 
 
 class TestSignAtInfinity:
