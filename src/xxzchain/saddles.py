@@ -63,13 +63,15 @@ class StructureReport:
     n_sp: list
 
 
-def _carrier_im(r: int, ds: DressedSet) -> float:
-    if r == 1:
-        raise ValidationError("species 1 carries two lines; handled separately")
+def _lines(r: int, ds: DressedSet) -> list[tuple[int, float]]:
+    """(species label, Im lam) of each carrier line of species r; r = 0 and
+    r = 1 both name the two species-1 lines, the real one labelled 0."""
+    if r in (0, 1):
+        return [(0, 0.0), (1, pi / 2)]
     spec = string_exists(r, ds.zeta)
     if not spec.exists:
         raise InvalidStringError(f"no {r}-string exists at zeta = {ds.zeta}")
-    return spec.line_im
+    return [(r, spec.line_im)]
 
 
 def u_r(lam, v: float, r: int, ds: DressedSet, k: int = 0):
@@ -128,12 +130,9 @@ def _guard_velocity(v: float, ds: DressedSet, vinf: float | None = None,
 
 
 def _line_curves(ds: DressedSet, r: int, line_im: float):
-    """(grid, p_r', eps_r') on the scan grid of one carrier line, once per set.
-
-    Neither derivative depends on v, so every scan of the line reads them
-    from a memo that lives and dies with `ds`. The arrays are shared and
-    therefore read-only.
-    """
+    """(grid, p_r', eps_r', `_extrema`) of one carrier line. None of them
+    depends on v, so every scan of the line reads them from a memo that
+    lives and dies with `ds`; they are shared and therefore read-only."""
     key = (r, line_im)
     hit = ds._line_cache.get(key)
     if hit is None:
@@ -142,29 +141,70 @@ def _line_curves(ds: DressedSet, r: int, line_im: float):
         hit = (grid, np.asarray(ds.p_r_d(lam, r)), np.asarray(ds.eps_r(lam, r, 1)))
         for arr in hit:
             arr.flags.writeable = False
+        hit += (_extrema(ds, r, line_im, *hit),)
         ds._line_cache[key] = hit
     return hit
 
 
-def _scan(ds: DressedSet, r: int, v: float, line_im: float):
-    """Scan grid and Re u_r' on it: the expression u_r(..., k=1) evaluates, bit for bit."""
-    grid, pd1, ed1 = _line_curves(ds, r, line_im)
-    return grid, np.real(pd1 - ed1 / v)
+def _extrema(ds: DressedSet, r: int, line_im: float, grid, pd1, ed1):
+    """Rows (x_j, p_r', eps_r', |V_r|) at the interior extrema of
+    V_r = eps_r'/p_r' at Re(lam) >= 0, or None where p_r' changes sign.
+
+    V_r is odd in Re(lam) (p_r' even, eps_r' odd): a row stands for its
+    mirror image too. An extremum found on the scan grid is refined by one
+    evaluation on REFINE_POINTS points across its two cells: x_j is the
+    extreme point, |V_r| the vertex of the parabola through it and its
+    neighbours (the grid alone is off by up to 1e-4 relative where V_r peaks
+    sharply). Extrema in the guard band of |V_r| at the grid end (v_inf) are
+    tail rounding wiggles, dropped: they move counts only at refused speeds.
+    """
+    pd1 = np.real(pd1)
+    if not (np.all(pd1 > 0) or np.all(pd1 < 0)):
+        return None
+    vel = np.real(ed1) / pd1
+    tail, dv, rows = abs(vel[-1]), np.diff(vel), []
+    for i in np.nonzero((dv[:-1] * dv[1:] < 0) & (grid[1:-1] >= 0))[0] + 1:
+        if abs(abs(vel[i]) - tail) < NEAR_CRITICAL_BAND * tail:
+            continue
+        xs = np.linspace(grid[i - 1], grid[i + 1], REFINE_POINTS)
+        e = np.real(ds.eps_r(xs + 1j * line_im, r, 1))
+        p = np.real(ds.p_r_d(xs + 1j * line_im, r))
+        local = e / p
+        # a maximum of V_r where it rises into the extremum, else a minimum
+        j = min(max(int(np.argmax(np.sign(dv[i - 1]) * local)), 1), REFINE_POINTS - 2)
+        a, b, c = local[j - 1:j + 2]
+        rows.append((xs[j], p[j], e[j], abs(b - (c - a) ** 2 / (8 * (c - 2 * b + a)))))
+    out = np.array(rows).reshape(-1, 4)
+    out.flags.writeable = False
+    return out
 
 
 def _line_zeros(ds: DressedSet, r: int, v: float, line_im: float) -> list[float]:
-    """Real parts of the zeros of u_r' on the line Im(lam) = line_im."""
-    grid, vals = _scan(ds, r, v, line_im)
-    zeros = []
+    """Real parts of the zeros of u_r' on the line Im(lam) = line_im.
+
+    Re u_r' is sampled on the scan grid. A knot +-x_j of an extremum of V_r
+    splits a cell whose ends agree in sign but not with it: V_r is monotone
+    between knots, so that cell holds two zeros. Every other bracket is a
+    plain grid cell. Near an extremal |V_r| the knot's sign is unresolved.
+    """
+    grid, pd1, ed1, extrema = _line_curves(ds, r, line_im)
+    vals = np.real(pd1 - ed1 / v)
+    for x, p, e, speed in () if extrema is None else extrema:
+        if abs(abs(v) - speed) < NEAR_CRITICAL_BAND * speed:
+            raise NearCriticalError(f"|v| = {abs(v)} near the extremal |V_{r}| = {speed}")
+        for knot, val in ((x, p - e / v), (-x, p + e / v)):
+            i = np.searchsorted(grid, knot)
+            if np.sign(vals[i - 1]) == np.sign(vals[i]) != np.sign(val):
+                grid, vals = np.insert(grid, i, knot), np.insert(vals, i, val)
     sign = np.sign(vals)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        root = find_root_bracketed(
+    return [
+        find_root_bracketed(
             lambda x: float(np.real(u_r(x + 1j * line_im, v, r, ds, 1))),
             float(grid[i]),
             float(grid[i + 1]),
         )
-        zeros.append(root)
-    return zeros
+        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    ]
 
 
 def _make_saddle(ds: DressedSet, species: int, r: int, x: float, v: float,
@@ -194,50 +234,15 @@ def find_saddles(r: int, v: float, ds: DressedSet, vinf: float | None = None,
     """All saddle points of species r at velocity v.
 
     For r = 1 both lines are scanned; real-line saddles are labelled 0.
-    v_inf and v_F are computed for the velocity guard unless given.
+    v_inf and v_F are computed for the velocity guard unless given; the
+    extremal speeds of V_r on the scanned lines are guarded as well.
     """
     _guard_velocity(v, ds, vinf, vf)
-    out = []
-    if r in (0, 1):
-        for species, line_im in ((0, 0.0), (1, pi / 2)):
-            for x in _line_zeros(ds, 1, v, line_im):
-                out.append(_make_saddle(ds, species, 1, x, v, line_im))
-        return out
-    line_im = _carrier_im(r, ds)
-    for x in _line_zeros(ds, r, v, line_im):
-        out.append(_make_saddle(ds, r, r, x, v, line_im))
-    return out
-
-
-def _extremal_speeds(ds: DressedSet, r: int, line_im: float, vinf: float):
-    """|V_r| at the interior extrema of V_r = eps_r'/p_r' on one carrier line,
-    or None where p_r' changes sign on the scan grid.
-
-    V_r is odd in Re(lam): the extrema at Re(lam) >= 0 stand for their mirror
-    images. Each is found on the scan grid of `_line_curves`, then refined by
-    one evaluation on REFINE_POINTS points across its two cells and the
-    parabola through the extreme point and its neighbours (on the scan grid
-    alone that is off by up to 1e-4 relative where V_r peaks sharply).
-    Extrema in the guard band of v_inf (rounding wiggles in the tails) are
-    dropped: they move the saddle count only at refused velocities.
-    """
-    grid, pd1, ed1 = _line_curves(ds, r, line_im)
-    pd1 = np.real(pd1)
-    if not (np.all(pd1 > 0) or np.all(pd1 < 0)):
-        return None
-    vel = np.real(ed1) / pd1
-    dv = np.diff(vel)
-    speeds = []
-    for i in np.nonzero((dv[:-1] * dv[1:] < 0) & (grid[1:-1] >= 0))[0] + 1:
-        if abs(abs(vel[i]) - vinf) < NEAR_CRITICAL_BAND * vinf:
-            continue
-        lam = np.linspace(grid[i - 1], grid[i + 1], REFINE_POINTS) + 1j * line_im
-        local = np.real(ds.eps_r(lam, r, 1)) / np.real(ds.p_r_d(lam, r))
-        # a maximum of V_r where it rises into the extremum, else a minimum
-        j = min(max(int(np.argmax(np.sign(dv[i - 1]) * local)), 1), REFINE_POINTS - 2)
-        a, b, c = local[j - 1:j + 2]
-        speeds.append(abs(b - (c - a) ** 2 / (8 * (c - 2 * b + a))))
-    return speeds
+    return [
+        _make_saddle(ds, species, max(species, 1), x, v, line_im)
+        for species, line_im in _lines(r, ds)
+        for x in _line_zeros(ds, max(species, 1), v, line_im)
+    ]
 
 
 def _thresholds(ds: DressedSet, r: int, vinf: float):
@@ -250,35 +255,28 @@ def _thresholds(ds: DressedSet, r: int, vinf: float):
     only at v_inf and at these extremal values.
     """
     values = [vinf]
-    for line_im in ((0.0, pi / 2) if r == 1 else (_carrier_im(r, ds),)):
-        speeds = _extremal_speeds(ds, r, line_im, vinf)
-        if speeds is None:
+    for _, line_im in _lines(r, ds):
+        extrema = _line_curves(ds, r, line_im)[3]
+        if extrema is None:
             return None, None
-        values += speeds
+        values += list(extrema[:, 3])
     return float(min(values)), float(max(values))
 
 
 def classify_structure(v: float, ds: DressedSet, r_max: int = 8,
                        vinf: float | None = None) -> StructureReport:
-    """Full saddle inventory at velocity v with threshold estimates; v_inf is
-    computed unless given."""
+    """Full saddle inventory at velocity v with the thresholds v_r^(m),
+    v_r^(M) of each species; v_inf is computed unless given."""
     vinf, vf = _guard_velocity(v, ds, vinf)
 
     species = [1] + [
         r for r in range(2, r_max + 1) if string_exists(r, ds.zeta).exists
     ]
-    saddles: dict = {}
-    counts: dict = {}
+    saddles = {label: [] for r in species for label, _ in _lines(r, ds)}
     for r in species:
-        found = find_saddles(r, v, ds, vinf, vf)
-        if r == 1:
-            saddles[0] = [s for s in found if s.r == 0]
-            saddles[1] = [s for s in found if s.r == 1]
-            counts[0] = len(saddles[0])
-            counts[1] = len(saddles[1])
-        else:
-            saddles[r] = found
-            counts[r] = len(found)
+        for s in find_saddles(r, v, ds, vinf, vf):
+            saddles[s.r].append(s)
+    counts = {label: len(found) for label, found in saddles.items()}
 
     thresholds = {r: _thresholds(ds, r, vinf) for r in species}
 

@@ -272,7 +272,7 @@ class TestThresholds:
         for r, got in rep.thresholds.items():
             _assert_thresholds(got, _reference_thresholds(ds, r, vinf), vinf)
             for line_im in _lines(ds, r):
-                got_line = sorted(saddles._extremal_speeds(ds, r, line_im, vinf))
+                got_line = sorted(saddles._line_curves(ds, r, line_im)[3][:, 3])
                 want_line = sorted(_line_speeds(ds, r, line_im, vinf))
                 assert len(got_line) == len(want_line), (r, line_im)
                 for g, w in zip(got_line, want_line):
@@ -286,30 +286,57 @@ class TestThresholds:
         # 0.8633 pi: V_1 overshoots v_inf on the upper line only, V_2 on its line
         ds = order32[(0.8633, 0.763)]
         vinf = v_infinity(ds)
-        assert len(saddles._extremal_speeds(ds, 1, 0.0, vinf)) == 0
-        assert len(saddles._extremal_speeds(ds, 1, pi / 2, vinf)) == 1
+        assert len(saddles._line_curves(ds, 1, 0.0)[3]) == 0
+        assert len(saddles._line_curves(ds, 1, pi / 2)[3]) == 1
         for r, lo, hi in ((1, 3.0, 3.3), (2, 1.5, 1.7)):
             v_min, v_max = saddles._thresholds(ds, r, vinf)
             assert v_min == vinf and lo * vinf < v_max < hi * vinf, (r, v_max / vinf)
 
     def test_counts_change_only_at_thresholds(self, order32):
         # above v_r^(M) no saddle; between v_inf and v_r^(M) two per overshoot,
-        # 1% off the peak, where the scan grid resolves both
+        # also 1e-5 off the peak, where both share one cell of the scan grid
         ds = order32[(0.8633, 0.763)]
         vinf = v_infinity(ds)
         for r in (1, 2):
             v_max = saddles._thresholds(ds, r, vinf)[1]
             above = find_saddles(r, 1.01 * v_max, ds)
-            below = find_saddles(r, 0.99 * v_max, ds)
-            assert len(above) == 0 and len(below) == 2, (r, len(above), len(below))
+            assert len(above) == 0, (r, len(above))
+            for factor in (0.99, 1 - 1e-5):
+                below = find_saddles(r, factor * v_max, ds)
+                assert len(below) == 2, (r, factor, len(below))
 
-    def test_sign_change_of_momentum_gives_none(self, order32, monkeypatch):
-        ds = order32[(0.4204, 0.45)]
+    @pytest.mark.parametrize("key", POINTS, ids=[f"{z}pi-q{q}" for z, q in POINTS])
+    def test_counts_agree_with_species_list(self, order32, key):
+        # a species has saddles exactly where v_r^(M) puts it into n_sp
+        ds = order32[key]
         vinf = v_infinity(ds)
-        grid, pd1, ed1 = saddles._line_curves(ds, 2, string_exists(2, ds.zeta).line_im)
-        flipped = np.where(np.abs(grid) < 1.0, -pd1, pd1)
-        monkeypatch.setattr(saddles, "_line_curves", lambda *a: (grid, flipped, ed1))
+        for r in (1, 2):
+            v_max = saddles._thresholds(ds, r, vinf)[1]
+            for factor in (1 - 1e-2, 1 - 1e-3, 1 - 1e-4, 1 - 1e-5, 1 + 1e-4):
+                rep = classify_structure(factor * v_max, ds, r_max=2, vinf=vinf)
+                count = rep.counts[0] + rep.counts[1] if r == 1 else rep.counts[r]
+                assert (count > 0) == (r in rep.n_sp), (r, factor, rep.counts, rep.n_sp)
+
+    def test_extremal_speed_guard(self, order32):
+        ds = order32[(0.8633, 0.763)]
+        v_max = saddles._thresholds(ds, 1, v_infinity(ds))[1]
+        with pytest.raises(NearCriticalError):
+            find_saddles(1, v_max * (1 - 1e-7), ds)
+        with pytest.raises(NearCriticalError):
+            classify_structure(-v_max * (1 + 1e-7), ds, r_max=2)
+
+    def test_sign_change_of_momentum_gives_none(self, monkeypatch):
+        ds = solve_dressed_set(ModelParams(J=1.0, zeta=0.4204 * pi, q=0.45, order=32))
+        vinf = v_infinity(ds)
+        p_r_d = DressedSet.p_r_d
+
+        def flipped(self, lam, r=1, k=1):
+            p = np.asarray(p_r_d(self, lam, r, k))
+            return np.where(np.abs(np.real(lam)) < 1.0, -p, p) if r == 2 else p
+
+        monkeypatch.setattr(DressedSet, "p_r_d", flipped)
         assert saddles._thresholds(ds, 2, vinf) == (None, None)
+        assert saddles._line_curves(ds, 2, string_exists(2, ds.zeta).line_im)[3] is None
 
     def test_reported_species_at_04204(self, capsys):
         # v just below v_inf: the r = 2 saddle is reported and r = 2 is in n_sp
@@ -360,27 +387,24 @@ class TestCarrierLineMemo:
     def _fresh():
         return solve_dressed_set(ModelParams(J=1.0, zeta=0.5365 * pi, q=0.2, order=32))
 
-    def test_scan_equals_u_r_d1(self, sets):
-        ds = sets[(0.5365, 0.2)]
-        vinf = v_infinity(ds)
-        for r, line_im in self._lines(ds):
-            for v in (0.3 * vinf, 0.8 * vinf, 1.3 * vinf, -0.8 * vinf):
-                grid, vals = saddles._scan(ds, r, v, line_im)
-                want = np.real(u_r(grid + 1j * line_im, v, r, ds, 1))
-                assert np.array_equal(vals, want), (r, line_im, v / vinf)
-
-    def test_one_grid_evaluation_per_line(self, monkeypatch):
-        ds = self._fresh()
+    @staticmethod
+    def _count_calls(monkeypatch, size):
+        """(method, r) of every p_r_d and eps_r call on `size` points."""
         calls = []
         for name in ("p_r_d", "eps_r"):
             method = getattr(DressedSet, name)
 
             def counted(self, lam, r=1, *k, _name=name, _method=method):
-                if np.size(lam) == saddles.SCAN_POINTS:
+                if np.size(lam) == size:
                     calls.append((_name, r))
                 return _method(self, lam, r, *k)
 
             monkeypatch.setattr(DressedSet, name, counted)
+        return calls
+
+    def test_one_grid_evaluation_per_line(self, monkeypatch):
+        ds = self._fresh()
+        calls = self._count_calls(monkeypatch, saddles.SCAN_POINTS)
         vinf = v_infinity(ds)
         classify_structure(0.6 * vinf, ds, r_max=2)
         assert sorted(calls) == sorted(
@@ -390,6 +414,17 @@ class TestCarrierLineMemo:
         calls.clear()
         classify_structure(0.7 * vinf, ds, r_max=2)
         assert calls == []
+
+    def test_one_refinement_per_extremum(self, monkeypatch):
+        ds = self._fresh()
+        calls = self._count_calls(monkeypatch, saddles.REFINE_POINTS)
+        vinf = v_infinity(ds)
+        classify_structure(0.6 * vinf, ds, r_max=2)
+        classify_structure(0.7 * vinf, ds, r_max=2)
+        want = []
+        for r, line_im in self._lines(ds):
+            want += [("p_r_d", r), ("eps_r", r)] * len(saddles._line_curves(ds, r, line_im)[3])
+        assert want and sorted(calls) == sorted(want)
 
     def test_memo_dies_with_set(self):
         ds = self._fresh()
