@@ -58,7 +58,8 @@ def _fmt_float(x: float) -> str:
 
 
 def _to_jsonable(obj):
-    """Normalise to plain JSON types; complex becomes [re, im]."""
+    """Normalise to plain JSON types; complex becomes [re, im]. Only the CSV
+    writer needs this; `_dumps` takes the same types in one pass."""
     if isinstance(obj, dict):
         return {str(k): _to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -73,7 +74,12 @@ def _to_jsonable(obj):
 
 
 def _dumps(obj, indent: int = 0) -> str:
-    """Deterministic JSON text with floats at 17 significant digits."""
+    """Deterministic JSON text with floats at 17 significant digits; tuples
+    are lists and complex numbers [re, im]."""
+    if isinstance(obj, float):
+        if math.isnan(obj) or math.isinf(obj):
+            raise NumericalError(f"non-finite value {obj} in output")
+        return _fmt_float(obj)
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -82,24 +88,22 @@ def _dumps(obj, indent: int = 0) -> str:
             f'{pad}  "{k}": {_dumps(v, indent + 1)}' for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         items = [f"{pad}  {_dumps(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, complex):
+        return _dumps([obj.real, obj.imag], indent)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
         return "null"
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            raise NumericalError(f"non-finite value {obj} in output")
-        return _fmt_float(obj)
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    raise ValidationError(f"cannot serialize {obj!r}")
+    raise ValidationError(f"cannot serialize value of type {type(obj).__name__}")
 
 
 def _csv_cell(v) -> str:
@@ -131,9 +135,8 @@ def _to_csv(rows) -> str:
 
 
 def _emit(payload, opts) -> None:
-    payload = _to_jsonable(payload)
     if opts["format"] == "csv":
-        text = _to_csv(payload)
+        text = _to_csv(_to_jsonable(payload))
     else:
         text = _dumps(payload) + "\n"
     out = opts.get("out")

@@ -41,7 +41,7 @@ from .errors import (
 # brings in scipy: the page faults of the scipy.special import once moved a
 # worker start-up by 0.3 s with what the package had imported before it, so
 # time a start-up after moving this import (CPython 3.11.7, scipy 1.17.1)
-from .quadrature import _legendre_rule, barnes_g
+from .quadrature import _FAR_GAP, _FAR_TERMS, _chebyshev_u, _legendre_rule, barnes_g
 
 TRUNCATION = 12.0
 MAX_TRUNCATION = 80.0
@@ -51,9 +51,6 @@ REGIME_GUARD = 1e-6
 HOOK_DEPTH = 0.05
 HOOK_CENTER = 0.2
 PAIR_BLOCK_ROWS = 256
-_CELL_WIDTH = 1.0
-# far-field series terms: the least M with (M + 1) exp(-2 (M + 1) w) < 1e-17
-_FAR_TERMS = next(m for m in range(99) if (m + 1) * math.exp(-2 * (m + 1) * _CELL_WIDTH) < 1e-17)
 
 
 def _sign_sin(k: int, zeta: float) -> int:
@@ -705,7 +702,7 @@ def _pair_matrix(nA, nB, coeffs):
 
 
 def _cells(nodes, values):
-    """Nodes and values sorted by Re x and cut into cells of width w = _CELL_WIDTH.
+    """Nodes and values sorted by Re x and cut into cells of width w = _FAR_GAP.
 
     Node x lies in cell k when k w <= Re x < (k + 1) w.  Also returns the
     occupied cells, the first sorted node of each, and each cell's moments
@@ -715,10 +712,10 @@ def _cells(nodes, values):
     """
     order = np.argsort(nodes.real, kind="stable")
     x, v = nodes[order], values[order]
-    k = np.floor(x.real / _CELL_WIDTH)
+    k = np.floor(x.real / _FAR_GAP)
     cells, starts = np.unique(k, return_index=True)
     moments = []
-    for z in (np.exp(-2.0 * (x - k * _CELL_WIDTH)), np.exp(2.0 * (x - (k + 1) * _CELL_WIDTH))):
+    for z in (np.exp(-2.0 * (x - k * _FAR_GAP)), np.exp(2.0 * (x - (k + 1) * _FAR_GAP))):
         powers = [v * z]  # one product per term, a sixth of the time of np.cumprod
         while len(powers) < _FAR_TERMS:
             powers.append(powers[-1] * z)
@@ -759,15 +756,13 @@ def _pair_form(nA, vA, nB, vB, coeffs) -> complex:
             S = left[i:j] @ right[:, j0:j1]
             np.reciprocal(S, out=S)
             total += vA[i:j] @ (S @ vS)
-    U = [1.0, 2.0 - b]
-    while len(U) < _FAR_TERMS:
-        U.append((2.0 - b) * U[-1] - U[-2])
+    U = _chebyshev_u(2.0 - b)
     gap = cellsB[None, :] - cellsA[:, None]
 
     def far(mA, d, mB):
         # exp(-2 (m+1)(d-1) w) between the facing edges of cells d >= 2 apart
         d = np.where(d > 1, d - 1, np.inf)
-        decay = np.exp(-2.0 * _CELL_WIDTH * np.multiply.outer(d, np.arange(1, _FAR_TERMS + 1)))
+        decay = np.exp(-2.0 * _FAR_GAP * np.multiply.outer(d, np.arange(1, _FAR_TERMS + 1)))
         return np.einsum("m,ma,abm,mb->", U, mA, decay, mB)
 
     if symmetric:

@@ -16,9 +16,14 @@ Every carrier line lies at Im lam = 0 or pi/2, where `_conv` runs in real
 arithmetic: K is i pi periodic and K(t + i pi/2|eta) = K(t|eta + pi/2), so
 the kernel matrix there is the real one at t = Re lam. The O(n) driving
 terms stay complex, so `eps_r` and `p_r_d` keep a complex dtype for complex
-lam; `Z` on these lines is returned real. The kernel matrix is built and
-applied CONV_BLOCK_ROWS rows at a time, so that its temporaries stay in
-cache on the 2,000-point carrier-line scans.
+lam; `Z` on these lines is returned real. Real t at least _FAR_GAP beyond
+the Fermi segment never meet the kernel matrix: K(t|eta) is there the
+Chebyshev-U series (2 sin 2 eta / pi) sum_m U_m(cos 2 eta) e^(-2 (m+1)|t|)
+(Abramowitz and Stegun 22.9.10), whose terms factor into e^(-2 (m+1)(|t| - q))
+and node moments, as in the far field of Greengard and Rokhlin (1987). Such
+rows are most of a carrier-line scan. The other rows take the kernel matrix,
+built and applied CONV_BLOCK_ROWS rows at a time, so that its temporaries
+stay in cache.
 """
 from __future__ import annotations
 
@@ -35,6 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .kernels import (
+    _ETA_ZERO_TOL,
     KernelParams,
     _pole_line_distance,
     bare_phase,
@@ -45,8 +51,11 @@ from .kernels import (
     w_hat,
 )
 from .quadrature import (
+    _FAR_GAP,
+    _FAR_TERMS,
     DEFAULT_ORDER,
     NystromLU,
+    _chebyshev_u,
     find_root_bracketed,
     gauss_legendre,
 )
@@ -92,12 +101,14 @@ def _conv(quad, zeta: float, lam, values, r: int = 1, k: int = 0):
     """sum_j w_j K_r^(k)(lam - x_j) values_j over the rule `quad`, shaped as lam.
 
     When every lam lies on Im lam = 0, or every one on |Im lam| = pi/2, the
-    kernel matrix is built real from t = Re lam (at eta + pi/2 on the second
-    line); any other complex lam takes the complex difference matrix. Rows
-    go in blocks of CONV_BLOCK_ROWS, a multiple of 4, and a one-row remainder
-    joins the block before it: gemv groups rows by 4 and a one-row product
-    goes through dot, so only this split keeps every row bit-identical to the
-    one-matrix product.
+    kernel is taken real at t = Re lam (at eta + pi/2 on the second line);
+    any other complex lam takes the complex difference matrix. On real t the
+    rows of `_far_rows` go through the series of `_far_field` once they are
+    at least _FAR_TERMS, as many as its moments cost in dense rows. All
+    other rows go in blocks of CONV_BLOCK_ROWS, a multiple of 4, and a
+    one-row remainder joins the block before it: gemv groups rows by 4 and a
+    one-row product goes through dot, so only this split keeps every row
+    bit-identical to the one-matrix product.
     """
     lam = np.asarray(lam)
     t, shift = lam, 0.0
@@ -107,14 +118,76 @@ def _conv(quad, zeta: float, lam, values, r: int = 1, k: int = 0):
             t = lam.real
         elif np.all(im == pi / 2):
             t, shift = lam.real, pi / 2
-    t, wv = t.reshape(-1, 1), quad.weights * values
+    t, wv = t.reshape(-1), quad.weights * values
+    if np.isrealobj(t) and t.size >= _FAR_TERMS:
+        far = _far_rows(t, *quad.interval)
+        if np.count_nonzero(far) >= _FAR_TERMS:
+            out = np.empty(t.shape, np.result_type(float, wv))
+            out[far] = _far_field(quad, zeta, t[far], wv, r, k, shift)
+            if not far.all():
+                out[~far] = _dense_conv(quad, zeta, t[~far], wv, r, k, shift)
+            return out.reshape(lam.shape)
+    return _dense_conv(quad, zeta, t, wv, r, k, shift).reshape(lam.shape)
+
+
+def _dense_conv(quad, zeta, t, wv, r, k, shift):
+    """The rows of `_conv` on flat t from the kernel matrix, in row blocks."""
+    t = t.reshape(-1, 1)
     starts = list(range(0, len(t), CONV_BLOCK_ROWS))
     if len(starts) > 1 and len(t) - starts[-1] == 1:
         starts.pop()  # a one-row product goes through dot, not gemv
     ends = starts[1:] + [len(t)]
-    blocks = [kernel_kr(t[i:j] - quad.nodes, r, zeta, k, shift) @ wv
-              for i, j in zip(starts, ends)]
-    return np.concatenate(blocks).reshape(lam.shape)
+    return np.concatenate([kernel_kr(t[i:j] - quad.nodes, r, zeta, k, shift) @ wv
+                           for i, j in zip(starts, ends)])
+
+
+def _far_rows(t, a: float, b: float):
+    """Mask of the finite real t at least _FAR_GAP outside [a, b], in whole
+    groups of 4 rows (a one-row tail joins the group before it): the rows
+    left to `_dense_conv` then meet gemv in the groups of the one-matrix
+    product."""
+    far = np.isfinite(t) & ((t >= b + _FAR_GAP) | (t <= a - _FAR_GAP))
+    group = np.arange(t.size) // 4
+    if t.size % 4 == 1 and t.size > 1:
+        group[-1] -= 1
+    return np.bincount(group, ~far)[group] == 0
+
+
+def _far_field(quad, zeta, t, wv, r, k, shift):
+    """The rows of `_conv` at real t at least _FAR_GAP outside the rule's
+    interval [a, b], from the Chebyshev-U series of K.
+
+    K(lam|eta) = (2 sin 2 eta / pi) sum_m U_m(cos 2 eta) e^(-2 (m+1)|lam|)
+    for real lam != 0 (`quadrature._chebyshev_u`). For t >= b + _FAR_GAP the sum
+    over the nodes is sum_m c_m (-2 (m+1))^k e^(-2 (m+1)(t - b)) A_m with
+    moments A_m = sum_j w_j values_j e^(-2 (m+1)(b - x_j)), and t <= a -
+    _FAR_GAP takes the mirror series about a, so every factor is at most 1.
+    c_m sums 2 sin 2 eta / pi U_m(cos 2 eta) over both eta of K_r (raised by
+    `shift`), skipping an eta where `kernel_k` vanishes.
+    """
+    coef = np.zeros(_FAR_TERMS)
+    for eta in (zeta * (r + 1) / 2 + shift, zeta * (r - 1) / 2 + shift):
+        s2 = sin(2 * eta)
+        if abs(s2) >= _ETA_ZERO_TOL:  # as in kernel_k; eta = shift for r = 1
+            coef += 2 * s2 / pi * _chebyshev_u(2 * cos(2 * eta))
+    m1 = np.arange(1, _FAR_TERMS + 1)
+    a, b = quad.interval
+    out = np.empty(t.shape, np.result_type(float, wv))
+    for rows, edge, sign in ((t > b, b, -1), (t < a, a, 1)):
+        if rows.any():
+            moments = _powers(np.exp(2 * sign * (edge - quad.nodes))) @ wv
+            out[rows] = (coef * (2 * sign * m1) ** k * moments
+                         ) @ _powers(np.exp(2 * sign * (t[rows] - edge)))
+    return out
+
+
+def _powers(z):
+    """z, z^2, ..., z^_FAR_TERMS, one row each."""
+    p = np.empty((_FAR_TERMS, z.size))
+    p[0] = z
+    for m in range(1, _FAR_TERMS):
+        np.multiply(p[m - 1], z, out=p[m])
+    return p
 
 
 def _solve_pair(zeta: float, Q: float, order: int):
@@ -233,10 +306,11 @@ class DressedSet:
             lam_arr = np.asarray(lam)
             if not np.iscomplexobj(lam_arr):
                 ims = [0.0]
-            elif lam_arr.size == 1:
-                ims = [float(lam_arr.imag.item())]
             else:
-                ims = np.unique(lam_arr.imag).tolist()
+                imag = lam_arr.imag.ravel()
+                # the points of one carrier line share one Im: no sort
+                ims = ([float(imag[0])] if imag.size and np.all(imag == imag[0])
+                       else np.unique(imag).tolist())
             for im in ims:
                 if min(_pole_line_distance(im, w_hat(e)) for e in etas) < EXTENSION_POLE_GUARD:
                     raise PoleProximityError(

@@ -1,6 +1,7 @@
 """Numerical backbone: Gauss-Legendre rules, the LU-factored Nystrom matrix
 of a second-kind Fredholm equation, bracketed root finding, complex polyline
-integration and the Barnes G function.
+integration, the Barnes G function, and the Chebyshev-U far-field series
+shared by `dressed` and `contours`.
 
 `NystromLU` solves for node values only. Evaluating a solution off the nodes
 (the Nystrom interpolant f(lam) = g(lam) - sum_j w_j K(lam, x_j) f(x_j)) is
@@ -26,6 +27,12 @@ from .errors import (
 )
 
 DEFAULT_ORDER = 128
+# Far-field series of K-type kernels, 1/(X + 1/X - 2c) = sum_m U_m(c) X^-(m+1)
+# for |X| > 1 (Abramowitz and Stegun 22.9.10): it is used across a gap of at
+# least _FAR_GAP in Re lam, so |X| >= exp(2 _FAR_GAP), and truncated after
+# the least M terms with (M + 1) exp(-2 (M + 1) _FAR_GAP) < 1e-17 (|U_m| <= m + 1).
+_FAR_GAP = 1.0
+_FAR_TERMS = next(m for m in range(99) if (m + 1) * math.exp(-2 * (m + 1) * _FAR_GAP) < 1e-17)
 
 
 @dataclass(frozen=True)
@@ -154,6 +161,15 @@ def find_root_bracketed(
         raise BracketError(f"no sign change on [{a}, {b}]: f(a)={fa:.3e}, f(b)={fb:.3e}")
     known = {a: fa, b: fb}
     return brentq(lambda x: known[x] if x in known else f(x), a, b, xtol=tol)
+
+
+def _chebyshev_u(two_c) -> np.ndarray:
+    """U_0(c), ..., U_{_FAR_TERMS - 1}(c) from U_{m+1} = 2c U_m - U_{m-1},
+    given 2c (real or complex)."""
+    U = [1.0, two_c]
+    while len(U) < _FAR_TERMS:
+        U.append(two_c * U[-1] - U[-2])
+    return np.array(U)
 
 
 def barnes_g(n: int) -> float:

@@ -132,13 +132,22 @@ def _guard_velocity(v: float, ds: DressedSet, vinf: float | None = None,
 def _line_curves(ds: DressedSet, r: int, line_im: float):
     """(grid, p_r', eps_r', `_extrema`) of one carrier line. None of them
     depends on v, so every scan of the line reads them from a memo that
-    lives and dies with `ds`; they are shared and therefore read-only."""
+    lives and dies with `ds`; they are shared and therefore read-only.
+
+    The grid is the positive half of np.linspace(-SCAN_HALF_WIDTH,
+    SCAN_HALF_WIDTH, SCAN_POINTS) (SCAN_POINTS even) and its mirror image,
+    so it is mirror-exact. p_r' and eps_r' are evaluated on the half only
+    and mirrored: p_r' is even in Re(lam), eps_r' odd. Most of the half lies
+    beyond the Fermi zone, where `dressed._conv` takes its far-field series.
+    """
     key = (r, line_im)
     hit = ds._line_cache.get(key)
     if hit is None:
-        grid = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)
-        lam = grid + 1j * line_im
-        hit = (grid, np.asarray(ds.p_r_d(lam, r)), np.asarray(ds.eps_r(lam, r, 1)))
+        half = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)[SCAN_POINTS // 2:]
+        lam = half + 1j * line_im
+        pd1, ed1 = np.asarray(ds.p_r_d(lam, r)), np.asarray(ds.eps_r(lam, r, 1))
+        hit = (np.concatenate([-half[::-1], half]), np.concatenate([pd1[::-1], pd1]),
+               np.concatenate([-ed1[::-1], ed1]))
         for arr in hit:
             arr.flags.writeable = False
         hit += (_extrema(ds, r, line_im, *hit),)

@@ -18,7 +18,7 @@ from xxzchain.errors import (
     ValidationError,
 )
 from xxzchain.kernels import kernel_k, kernel_kr
-from xxzchain.quadrature import NystromLU, gauss_legendre
+from xxzchain.quadrature import _FAR_GAP, _FAR_TERMS, NystromLU, gauss_legendre
 
 # closed-form benchmark: zeta = pi/2, J = 1, h = 2
 FF_Q = 0.5 * math.log(2 + math.sqrt(3))
@@ -513,8 +513,21 @@ class TestCarrierLineReduction:
                 ds.eps_r(0.3 + 1j * line)
 
 
+def _assert_dense_or_far_field(t, got, want, q, scale):
+    """Rows of `_conv` within _FAR_GAP of [-q, q], complex t, and every row of
+    a call with fewer far rows than _FAR_TERMS equal the one-matrix product
+    bit for bit; the far-field rows agree with it within 1e-14 of `scale`,
+    the largest |value| of the whole curve."""
+    far = np.isrealobj(t) & (np.abs(t) >= q + _FAR_GAP)
+    if np.count_nonzero(far) < _FAR_TERMS:
+        far[:] = False
+    assert np.array_equal(got[~far], want[~far])
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+
 class TestConvBlocks:
-    """`_conv` in row blocks equals the one-matrix product bit for bit."""
+    """`_conv` in row blocks equals the one-matrix product bit for bit, apart
+    from the far-field rows (see TestFarField)."""
 
     ZETA = 0.5713 * pi
     SIZES = [1, 2, 255, 256, 257, 258, 513, 2000, 4001]
@@ -539,7 +552,8 @@ class TestConvBlocks:
                 want = kmat[:n] @ (quad.weights * vals)
                 got = dressed._conv(quad, self.ZETA, lam[:n], vals, r, k)
                 assert got.shape == want.shape and got.dtype == want.dtype
-                assert np.array_equal(got, want), (n, r, k, vals.dtype)
+                scale = np.max(np.abs(kmat @ (quad.weights * vals)))
+                _assert_dense_or_far_field(t[:n], got, want, 0.45, scale)
 
     def test_real_dtype_lam(self):
         quad = gauss_legendre(32, -0.45, 0.45)
@@ -550,7 +564,7 @@ class TestConvBlocks:
                 quad.weights * vals)
             got = dressed._conv(quad, self.ZETA, lam, vals, 2, 1)
             assert got.dtype == np.float64
-            assert np.array_equal(got, want), n
+            _assert_dense_or_far_field(lam, got, want, 0.45, np.max(np.abs(want)))
 
     def test_pole_in_last_block_raises(self):
         # K(.|zeta) has a pole at i zeta; the node lies in the last of 4001 rows
@@ -559,6 +573,86 @@ class TestConvBlocks:
         lam[-1] = quad.nodes[3] + 1j * self.ZETA
         with pytest.raises(PoleProximityError, match="kernel_k sampled"):
             dressed._conv(quad, self.ZETA, lam, np.ones(32))
+
+
+def _mp_kernel(mpmath, z, eta, k):
+    """K^(k)(z|eta) in mpmath arithmetic at the working precision."""
+    s2, d = mpmath.sin(2 * eta), mpmath.cosh(2 * z) - mpmath.cos(2 * eta)
+    if k == 0:
+        return s2 / (mpmath.pi * d)
+    if k == 1:
+        return -2 * s2 * mpmath.sinh(2 * z) / (mpmath.pi * d**2)
+    return s2 * (8 * mpmath.sinh(2 * z) ** 2 / d - 4 * mpmath.cosh(2 * z)) / (mpmath.pi * d**2)
+
+
+class TestFarField:
+    """Real t at least _FAR_GAP outside [-q, q] take the Chebyshev-U series
+    of K once a call has _FAR_TERMS of them."""
+
+    # line: (Im lam, eta shift of the reference kernel)
+    LINES = {"real": (0.0, 0.0), "up": (pi / 2, pi / 2), "down": (-pi / 2, pi / 2)}
+    # (zeta / pi, q): one zeta from each band of the `asymptotics` workload
+    POINTS = [(0.3817, 0.05), (0.5713, 0.45), (0.7937, 1.0), (0.5713, 2.0)]
+
+    @pytest.mark.parametrize("order", [32, 128])
+    @pytest.mark.parametrize("point", POINTS)
+    @pytest.mark.parametrize("line", sorted(LINES))
+    def test_matches_dense_product(self, order, point, line):
+        zeta, q = point[0] * pi, point[1]
+        im, shift = self.LINES[line]
+        quad = gauss_legendre(order, -q, q)
+        rng = np.random.default_rng(order)
+        real_vals = rng.uniform(-1, 1, order)
+        t = np.linspace(-8.0, 8.0, 1601)
+        for r, k in itertools.product([1, 2, 3], [0, 1, 2]):
+            kmat = kernel_kr(t.reshape(-1, 1) - quad.nodes, r, zeta, k, shift)
+            for vals in (real_vals, real_vals + 1j * rng.uniform(-1, 1, order)):
+                want = kmat @ (quad.weights * vals)
+                got = dressed._conv(quad, zeta, t + 1j * im, vals, r, k)
+                assert got.dtype == want.dtype
+                _assert_dense_or_far_field(t, got, want, q, np.max(np.abs(want)))
+
+    def test_series_from_far_terms_rows(self, monkeypatch):
+        quad = gauss_legendre(32, -0.45, 0.45)
+        sizes = []
+        series = dressed._far_field
+
+        def counted(quad, zeta, t, *args):
+            sizes.append(t.size)
+            return series(quad, zeta, t, *args)
+
+        monkeypatch.setattr(dressed, "_far_field", counted)
+        for n in (_FAR_TERMS - 1, _FAR_TERMS):
+            t = np.concatenate([np.linspace(-0.3, 0.3, 8), 1.45 + 0.1 * np.arange(n)])
+            dressed._conv(quad, 0.5713 * pi, t, np.ones(32), 2, 1)
+        assert sizes == [_FAR_TERMS]
+
+    @pytest.mark.parametrize("zeta_frac, q, order", [(0.5365, 0.2, 32), (0.9065, 0.8, 128)])
+    def test_matches_mpmath_sum(self, zeta_frac, q, order):
+        # the node values of eps_1 and p_1' of a solved set, summed in
+        # 40-digit arithmetic at rows on both sides of the segment, all of
+        # them in the series: at the gap q + _FAR_GAP and up to 5 beyond it
+        mpmath = pytest.importorskip("mpmath")
+        ds = solve_dressed_set(ModelParams(J=1.0, zeta=zeta_frac * pi, q=q, order=order))
+        x, w = ds.quad.nodes, ds.quad.weights
+        far = q + _FAR_GAP + 0.25 * np.arange(_FAR_TERMS)
+        t = np.concatenate([-far[::-1], far])
+        picks = [0, _FAR_TERMS - 2, _FAR_TERMS - 1, _FAR_TERMS, _FAR_TERMS + 6]
+        scan = np.linspace(-15.0, 15.0, 2000)
+        for (im, shift), vals, r, k in itertools.product(
+                [(0.0, 0.0), (pi / 2, pi / 2)], [ds.eps1, ds.p1prime], [1, 2, 3], [0, 1, 2]):
+            scale = np.max(np.abs(
+                kernel_kr(scan.reshape(-1, 1) - x, r, ds.zeta, k, shift) @ (w * vals)))
+            got = dressed._conv(ds.quad, ds.zeta, t + 1j * im, vals, r, k)
+            etas = [ds.zeta * (r + 1) / 2 + shift] + [ds.zeta * (r - 1) / 2 + shift] * (r > 1)
+            for i in picks:
+                with mpmath.workdps(40):
+                    exact = mpmath.fsum(
+                        mpmath.mpf(wj) * mpmath.mpf(vj) * _mp_kernel(
+                            mpmath, mpmath.mpf(t[i]) - mpmath.mpf(xj), mpmath.mpf(eta), k)
+                        for wj, vj, xj in zip(w, vals, x) for eta in etas)
+                    err = abs(float(got[i] - exact))
+                assert err <= 2e-15 * scale, (im, r, k, t[i])
 
 
 class TestPhaseCaching:

@@ -404,7 +404,7 @@ class TestCarrierLineMemo:
 
     def test_one_grid_evaluation_per_line(self, monkeypatch):
         ds = self._fresh()
-        calls = self._count_calls(monkeypatch, saddles.SCAN_POINTS)
+        calls = self._count_calls(monkeypatch, saddles.SCAN_POINTS // 2)
         vinf = v_infinity(ds)
         classify_structure(0.6 * vinf, ds, r_max=2)
         assert sorted(calls) == sorted(
@@ -434,6 +434,20 @@ class TestCarrierLineMemo:
         del ds
         gc.collect()
         assert ref() is None
+
+    @pytest.mark.parametrize("zeta_frac, q", [(0.5365, 0.2), (0.35, 2.0)])
+    def test_half_grid_mirrors_exactly(self, zeta_frac, q):
+        # eps_r' odd and p_r' even in Re lam; the mirrored half agrees with
+        # a direct evaluation on the whole grid
+        ds = solve_dressed_set(ModelParams(J=1.0, zeta=zeta_frac * pi, q=q, order=32))
+        for r, line_im in self._lines(ds):
+            grid, pd1, ed1 = saddles._line_curves(ds, r, line_im)[:3]
+            assert len(grid) == saddles.SCAN_POINTS
+            assert np.array_equal(grid, -grid[::-1])
+            assert np.array_equal(pd1, pd1[::-1]) and np.array_equal(ed1, -ed1[::-1])
+            lam = grid + 1j * line_im
+            for got, want in ((pd1, ds.p_r_d(lam, r)), (ed1, ds.eps_r(lam, r, 1))):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_memo_read_only(self, sets):
         ds = sets[(0.5365, 0.2)]
