@@ -11,9 +11,12 @@ expansion of a two-point function, with
   * a pair of boundary exponents Delta_{+-} assembled from the dressed
     charge and dressed phases evaluated at the saddle rapidities,
   * a saddle exponent Delta_sp = (1/2) sum n^2 and an oscillatory phase
-    phi_n(v) = sum n u_r(omega, v),
-  * an opaque placeholder standing for the non-universal form-factor
-    amplitude, which this package deliberately does not evaluate.
+    phi_n(v) = sum n u_r(omega, v).
+
+The non-universal form-factor amplitude is not evaluated.  A table is
+assembled in one pass (`assemble_terms`): the few numbers each occupied
+saddle contributes are evaluated once, and every configuration walks its
+occupied saddles once.
 
 Three velocity regimes occur.  Above every saddle-supporting threshold
 only the Umklapp (conformal) terms survive and the exponents close in
@@ -29,14 +32,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RegimeMismatchError, ValidationError
 from .quadrature import barnes_g
 from .saddles import StructureReport, u_r
-from .strings import string_exists
 
 REAL_TOL = 1e-8
 
@@ -44,7 +46,7 @@ REGIMES = ("conformal", "space-like", "time-like", "general")
 
 
 # ---------------------------------------------------------------------------
-# configuration and rapidity containers
+# configurations
 
 
 @dataclass(frozen=True)
@@ -103,168 +105,6 @@ def make_config(ell_plus, ell_minus, n0=0, n1=0, strings=None, s_gamma=0):
     return ExcitationConfig(
         int(ell_plus), int(ell_minus), int(n0), int(n1), tuple(rows), int(s_gamma)
     )
-
-
-@dataclass(frozen=True)
-class RapiditySet:
-    """Rapidities of one excited state, gathered as a set function input.
-
-    ``particles`` are fundamental-species rapidities (real outside the
-    Fermi zone or on the line Im = pi/2); ``strings`` maps r >= 2 to the
-    rapidities of r-bound states on their carrier line.
-    """
-
-    s_gamma: int
-    ell_plus: int
-    ell_minus: int
-    holes: tuple = ()
-    particles: tuple = ()
-    strings: tuple = ()
-
-    def string_items(self):
-        return [(r, tuple(vals)) for r, vals in self.strings]
-
-
-def _check_domains(Y: RapiditySet, ds) -> None:
-    for mu in Y.holes:
-        if abs(complex(mu).imag) > REAL_TOL:
-            raise ValidationError(f"hole rapidity must be real: {mu!r}")
-    for nu in Y.particles:
-        im = complex(nu).imag
-        if min(abs(im), abs(im - math.pi / 2)) > REAL_TOL:
-            raise ValidationError(f"particle rapidity off its carrier lines: {nu!r}")
-    for r, vals in Y.string_items():
-        spec = string_exists(r, ds.zeta)
-        for nu in vals:
-            if abs(complex(nu).imag - spec.line_im) > REAL_TOL:
-                raise ValidationError(
-                    f"{r}-string rapidity off the line Im = {spec.line_im!r}: {nu!r}"
-                )
-
-
-def conformal_rapidity_set(ell: int, s_gamma: int = 0) -> RapiditySet:
-    """Pure-Umklapp state labelled so that theta_upsilon closes as
-    ell*Z(q) - upsilon*s_gamma/(2 Z(q)).
-
-    The label ell runs over all integers, so the family is invariant
-    under ell -> -ell; this particular assignment of the deficiencies
-    (ell_+ = s_gamma - ell, ell_- = ell) is the one for which the
-    closed-form exponent carries +ell*Z(q).
-    """
-    return RapiditySet(s_gamma=s_gamma, ell_plus=s_gamma - ell, ell_minus=ell)
-
-
-def saddle_rapidity_set(config: ExcitationConfig,
-                        structure: StructureReport) -> RapiditySet:
-    """Place the configured counts on the saddle rapidities of structure."""
-    sad0, sad1 = _fundamental_saddles(config, structure)
-    kappa = _kappa(structure.v, structure.v_F)
-    holes: tuple = ()
-    particles: tuple = ()
-    if kappa < 0:
-        if config.n0:
-            holes = (sad0.omega.real,) * config.n0
-        if config.n1:
-            particles = (sad1.omega,) * config.n1
-    else:
-        if config.n0:
-            particles += (sad0.omega,) * config.n0
-        if config.n1:
-            particles += (sad1.omega,) * config.n1
-    rows = []
-    for r, counts in config.n_r:
-        sads = _string_saddles(r, counts, structure)
-        vals = []
-        for s, c in zip(sads, counts):
-            vals.extend([s.omega] * c)
-        if vals:
-            rows.append((r, tuple(vals)))
-    return RapiditySet(
-        s_gamma=config.s_gamma,
-        ell_plus=config.ell_plus,
-        ell_minus=config.ell_minus,
-        holes=holes,
-        particles=particles,
-        strings=tuple(rows),
-    )
-
-
-# ---------------------------------------------------------------------------
-# set functions: energy, momentum, shift exponents
-
-
-def excitation_energy_momentum(Y: RapiditySet, v: float, ds):
-    """(E, P, U) of the excited state Y at velocity ratio v.
-
-    E and P are the dressed energy and momentum totals relative to the
-    ground state; U = P - E/v - pi*s collects the reduced phase whose
-    stationary points drive the saddle analysis.
-    """
-    if v == 0:
-        raise ValidationError("velocity ratio v must be nonzero")
-    _check_domains(Y, ds)
-    E = 0.0 + 0.0j
-    P = 0.0 + 0.0j
-    for nu in Y.particles:
-        E += complex(ds.eps_r(nu, 1))
-        P += complex(ds.p_r(nu, 1))
-    for r, vals in Y.string_items():
-        for nu in vals:
-            E += complex(ds.eps_r(nu, r))
-            P += complex(ds.p_r(nu, r))
-    for mu in Y.holes:
-        E -= complex(ds.eps_r(mu, 1))
-        P -= complex(ds.p_r(mu, 1))
-    P += ds.p_F * (Y.ell_plus - Y.ell_minus) + math.pi * Y.s_gamma
-    U = P - E / v - math.pi * Y.s_gamma
-    E_out = _realize(E, "excitation energy")
-    P_out = _realize(P, "excitation momentum")
-    return E_out, P_out, complex(U)
-
-
-def _realize(val: complex, label: str) -> float:
-    if abs(val.imag) > REAL_TOL * max(1.0, abs(val)):
-        raise ValidationError(f"{label} has a non-negligible imaginary part: {val!r}")
-    return float(val.real)
-
-
-def shift_exponent(omega, Y: RapiditySet, ds) -> float:
-    """theta(omega | Y): the boundary exponent kernel of the state Y.
-
-    Sum of dressed phases seen from omega -- holes enter with +phi_1,
-    particles and strings with -phi_r, the Umklapp deficiencies through
-    the endpoint phases, and the operator spin through Z(omega)/2.
-    """
-    _check_domains(Y, ds)
-    val = 0.0 + 0.0j
-    for mu in Y.holes:
-        val += ds.phi(1, omega, mu)
-    val += 0.5 * Y.s_gamma * complex(ds.Z(omega))
-    for nu in Y.particles:
-        val -= ds.phi(1, omega, nu)
-    for r, vals in Y.string_items():
-        for nu in vals:
-            val -= ds.phi(r, omega, nu)
-    for upsilon, ell in ((1, Y.ell_plus), (-1, Y.ell_minus)):
-        if ell:
-            val -= ell * ds.phi(1, omega, upsilon * ds.q)
-    if abs(complex(omega).imag) < REAL_TOL:
-        return _realize(val, "shift exponent at real omega")
-    return complex(val)
-
-
-def theta_upsilon(Y: RapiditySet, upsilon: int, ds) -> float:
-    """Critical exponent of the Fermi boundary upsilon*q for the state Y."""
-    if upsilon not in (1, -1):
-        raise ValidationError(f"upsilon must be +1 or -1: {upsilon}")
-    ell = Y.ell_plus if upsilon == 1 else Y.ell_minus
-    return shift_exponent(upsilon * ds.q, Y, ds) - upsilon * ell
-
-
-def conformal_exponent(ell: int, s_gamma: int, upsilon: int, ds) -> float:
-    """Closed form ell*Z(q) - upsilon*s_gamma / (2 Z(q))."""
-    Zq = float(ds.Z(ds.q))
-    return ell * Zq - upsilon * s_gamma / (2.0 * Zq)
 
 
 # ---------------------------------------------------------------------------
@@ -381,175 +221,149 @@ class AsymptoticTerm:
     delta_sp: float
     phase: float
     wavevector: float
-    amplitude_placeholder: RapiditySet = field(compare=False)
 
     @property
     def total_exponent(self) -> float:
         return self.delta_plus ** 2 + self.delta_minus ** 2 + self.delta_sp
 
 
-def _fundamental_saddles(config: ExcitationConfig,
-                         structure: StructureReport | None):
-    """(omega_0, omega_1) as complex numbers, validated against the counts."""
-    om = [None, None]
+def _occupied(config: ExcitationConfig, kappa: int,
+              structure: StructureReport | None) -> list:
+    """(saddle, count) for each nonzero count of config: n0, n1, then the
+    strings. Raises where config breaks the spin constraint or a count has
+    no saddle to sit on."""
+    if config.massive_total() and structure is None:
+        raise RegimeMismatchError(
+            "massive counts present but no saddle structure was supplied"
+        )
+    if config.spin_sum(kappa) != config.s_gamma:
+        raise ValidationError(
+            "configuration violates the spin constraint: "
+            f"{config!r} with kappa_v={kappa}"
+        )
+    occupied = []
     for a, n in ((0, config.n0), (1, config.n1)):
         if n == 0:
             continue
-        if structure is None:
-            raise RegimeMismatchError(
-                "massive counts present but no saddle structure was supplied"
-            )
         sads = structure.saddles.get(a, [])
         if len(sads) != 1:
             raise RegimeMismatchError(
                 f"fundamental line {a} carries {len(sads)} saddle points; "
                 f"a single one is required for the count n{a}={n}"
             )
-        om[a] = sads[0]
-    return om
+        occupied.append((sads[0], n))
+    for r, counts in config.n_r:
+        if not any(counts):
+            continue
+        sads = structure.saddles.get(r, [])
+        if r not in structure.n_sp or not sads:
+            raise RegimeMismatchError(
+                f"no saddle points available for {r}-strings at v={structure.v!r}"
+            )
+        if len(counts) != len(sads):
+            raise RegimeMismatchError(
+                f"{r}-strings carry {len(sads)} saddle points but the "
+                f"configuration lists {len(counts)} counts"
+            )
+        occupied += [(sad, n) for sad, n in zip(sads, counts) if n]
+    return occupied
 
 
-def _string_saddles(r: int, counts, structure: StructureReport | None):
-    if structure is None:
-        raise RegimeMismatchError(
-            "massive counts present but no saddle structure was supplied"
+def _realize(val: complex, label: str) -> float:
+    if abs(val.imag) > REAL_TOL * max(1.0, abs(val)):
+        raise ValidationError(f"{label} has a non-negligible imaginary part: {val!r}")
+    return float(val.real)
+
+
+def _fermi_phases(ds, r: int, mu: complex) -> dict:
+    """{upsilon: phi_r(upsilon q, mu)} for upsilon = +-1, checked real."""
+    return {
+        upsilon: _realize(
+            complex(ds.phi(r, upsilon * ds.q, mu)),
+            f"dressed phase phi_{r} at the Fermi boundary",
         )
-    sads = structure.saddles.get(r, [])
-    if r not in structure.n_sp or not sads:
-        raise RegimeMismatchError(
-            f"no saddle points available for {r}-strings at v={structure.v!r}"
+        for upsilon in (1, -1)
+    }
+
+
+def _saddle_data(ds, sad, v: float):
+    """(sgn p_r'(omega), u_r(omega, v), `_fermi_phases`) at one saddle."""
+    r = max(sad.r, 1)
+    slope = complex(np.asarray(ds.p_r_d(sad.omega, r)).item())
+    if abs(slope.imag) > 1e-6 * max(1.0, abs(slope)):
+        raise ValidationError(
+            f"momentum slope not real on the carrier line at {sad.omega!r}: {slope!r}"
         )
-    if len(counts) != len(sads):
-        raise RegimeMismatchError(
-            f"{r}-strings carry {len(sads)} saddle points but the "
-            f"configuration lists {len(counts)} counts"
-        )
-    return sads
+    u = sad.u_value
+    if u is None:  # hat reduction pi/2: u_r raises its ValidationError again
+        u = complex(np.asarray(u_r(sad.omega, v, r, ds)).item())
+    return (1 if slope.real > 0 else -1), u, _fermi_phases(ds, r, sad.omega)
 
 
-def assemble_term(config: ExcitationConfig, v: float, ds,
-                  structure: StructureReport | None = None) -> AsymptoticTerm:
-    """Assemble amplitude, exponents and phase of one configuration.
+def assemble_terms(configs, v: float, ds,
+                   structure: StructureReport | None = None) -> list[AsymptoticTerm]:
+    """Amplitude, exponents and phase of each configuration, in one pass.
 
-    Non-integer powers use the principal branch.  The symbolic factor
-    (-i(upsilon m - v_F t))^(Delta^2) is documented through delta_plus /
-    delta_minus only; m and t never enter numerically.
+    Every configuration is validated first. Then each occupied saddle is
+    evaluated once (u_r is read from the saddle, at structure.v), Z(q) and
+    phi_1(+-q, +-q) once per call, and each configuration walks its
+    occupied saddles once. Non-integer powers use the principal branch.
+    The symbolic factor (-i(upsilon m - v_F t))^(Delta^2) is documented
+    through delta_plus / delta_minus only; m and t never enter numerically.
     """
     if v == 0:
         raise ValidationError("velocity ratio v must be nonzero")
     if structure is not None and abs(structure.v - v) > 1e-12 * max(1.0, abs(v)):
         raise ValidationError("structure was computed at a different velocity")
-    v_F = structure.v_F if structure is not None else None
-    if config.massive_total() and structure is None:
-        raise RegimeMismatchError(
-            "massive counts present but no saddle structure was supplied"
-        )
-    kappa = _kappa(v, v_F) if v_F is not None else 1
-    if config.spin_sum(kappa) != config.s_gamma:
-        raise ValidationError(
-            "configuration violates the spin constraint: "
-            f"{config!r} with kappa_v={kappa}"
-        )
+    kappa = _kappa(v, structure.v_F) if structure is not None else 1
+    rows = [(config, _occupied(config, kappa, structure)) for config in configs]
 
-    sad0, sad1 = _fundamental_saddles(config, structure)
+    slots = {}
+    for _, occupied in rows:
+        for sad, _ in occupied:
+            if sad not in slots:
+                slots[sad] = _saddle_data(ds, sad, structure.v)
+    Zq = complex(ds.Z(ds.q)).real
+    umklapp = {up2: _fermi_phases(ds, 1, up2 * ds.q) for up2 in (1, -1)}
 
-    C = 1.0 + 0.0j
-    phase = 0.0 + 0.0j
-    delta_sp = 0.5 * (config.n0 ** 2 + config.n1 ** 2)
-
-    for a, n, sad in ((0, config.n0, sad0), (1, config.n1, sad1)):
-        if n == 0:
-            continue
-        sgn_p = _momentum_slope_sign(ds, 1, sad.omega)
-        C *= barnes_g(1 + n) * (sgn_p ** n) / (2 * math.pi) ** (n / 2.0)
-        top = 1j * kappa if a == 0 else 1j
-        C *= (top / complex(sad.u_second)) ** (0.5 * n ** 2)
-        coef = kappa * n if a == 0 else n
-        phase += coef * _saddle_u(ds, 1, sad.omega, v)
-
-    for r, counts in config.n_r:
-        if not any(counts):
-            continue
-        sads = _string_saddles(r, counts, structure)
-        for sad, n in zip(sads, counts):
-            if n == 0:
-                continue
-            delta_sp += 0.5 * n ** 2
-            sgn_p = _momentum_slope_sign(ds, r, sad.omega)
+    terms = []
+    for config, occupied in rows:
+        C = 1.0 + 0.0j
+        phase = 0.0 + 0.0j
+        delta_sp = 0.0
+        deltas = {
+            upsilon: -upsilon * ell + 0.5 * config.s_gamma * Zq
+            for upsilon, ell in ((1, config.ell_plus), (-1, config.ell_minus))
+        }
+        for sad, n in occupied:
+            sgn_p, u, phis = slots[sad]
+            # the real-line count n0 enters with kappa_v: holes or particles
+            weight = kappa * n if sad.r == 0 else n
             C *= barnes_g(1 + n) * (sgn_p ** n) / (2 * math.pi) ** (n / 2.0)
-            C *= (-1j * complex(sad.u_second)) ** (-0.5 * n ** 2)
-            phase += n * _saddle_u(ds, r, sad.omega, v)
-
-    Zq = _saddle_value(ds, ("Z", ds.q), lambda: ds.Z(ds.q)).real
-    deltas = {}
-    for upsilon in (1, -1):
-        ell = config.ell_plus if upsilon == 1 else config.ell_minus
-        val = -upsilon * ell + 0.5 * config.s_gamma * Zq
-        if config.n0:
-            val -= kappa * config.n0 * _real_phase(ds, 1, upsilon, sad0.omega)
-        if config.n1:
-            val -= config.n1 * _real_phase(ds, 1, upsilon, sad1.omega)
-        for r, counts in config.n_r:
-            sads = _string_saddles(r, counts, structure) if any(counts) else []
-            for sad, n in zip(sads, counts):
-                if n:
-                    val -= n * _real_phase(ds, r, upsilon, sad.omega)
+            if sad.r < 2:
+                top = 1j * kappa if sad.r == 0 else 1j
+                C *= (top / complex(sad.u_second)) ** (0.5 * n ** 2)
+            else:
+                C *= (-1j * complex(sad.u_second)) ** (-0.5 * n ** 2)
+            phase += weight * u
+            delta_sp += 0.5 * n ** 2
+            for upsilon in deltas:
+                deltas[upsilon] -= weight * phis[upsilon]
         for up2, ell2 in ((1, config.ell_plus), (-1, config.ell_minus)):
             if ell2:
-                val -= ell2 * _real_phase(ds, 1, upsilon, up2 * ds.q)
-        deltas[upsilon] = val
-
-    if structure is not None:
-        placeholder = saddle_rapidity_set(config, structure)
-    else:
-        placeholder = RapiditySet(
-            s_gamma=config.s_gamma,
-            ell_plus=config.ell_plus,
-            ell_minus=config.ell_minus,
-        )
-    return AsymptoticTerm(
-        config=config,
-        C_n=complex(C),
-        delta_plus=deltas[1],
-        delta_minus=deltas[-1],
-        delta_sp=delta_sp,
-        phase=_realize(phase, "oscillatory phase"),
-        wavevector=ds.p_F * (config.ell_plus - config.ell_minus)
-        + math.pi * config.s_gamma,
-        amplitude_placeholder=placeholder,
-    )
-
-
-def _saddle_value(ds, key, compute) -> complex:
-    """compute() as a complex, once per key and solved set. Exceptions are not
-    stored, so a failing evaluation raises again at every call."""
-    val = ds._saddle_cache.get(key)
-    if val is None:
-        val = ds._saddle_cache[key] = complex(compute())
-    return val
-
-
-def _saddle_u(ds, r: int, omega: complex, v: float) -> complex:
-    return _saddle_value(
-        ds, ("u", r, omega, v), lambda: np.asarray(u_r(omega, v, r, ds)).item()
-    )
-
-
-def _momentum_slope_sign(ds, r: int, omega: complex) -> int:
-    slope = _saddle_value(
-        ds, ("slope", r, omega), lambda: np.asarray(ds.p_r_d(omega, r)).item()
-    )
-    if abs(slope.imag) > 1e-6 * max(1.0, abs(slope)):
-        raise ValidationError(
-            f"momentum slope not real on the carrier line at {omega!r}: {slope!r}"
-        )
-    return 1 if slope.real > 0 else -1
-
-
-def _real_phase(ds, r: int, upsilon: int, mu: complex) -> float:
-    val = _saddle_value(ds, ("phi", r, upsilon, mu), lambda: ds.phi(r, upsilon * ds.q, mu))
-    return _realize(val, f"dressed phase phi_{r} at the Fermi boundary")
-
+                for upsilon in deltas:
+                    deltas[upsilon] -= ell2 * umklapp[up2][upsilon]
+        terms.append(AsymptoticTerm(
+            config=config,
+            C_n=complex(C),
+            delta_plus=deltas[1],
+            delta_minus=deltas[-1],
+            delta_sp=delta_sp,
+            phase=_realize(phase, "oscillatory phase"),
+            wavevector=ds.p_F * (config.ell_plus - config.ell_minus)
+            + math.pi * config.s_gamma,
+        ))
+    return terms
 
 def rank_terms(terms):
     """Terms ordered by ascending total algebraic decay exponent."""

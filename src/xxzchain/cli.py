@@ -2,9 +2,10 @@
 
 Subcommands: solve | strings | velocities | saddles | exponents | verify.
 Output is deterministic JSON (default) or CSV with all floats at 17
-significant digits.  Validation problems exit with code 2, numerical
-failures with code 3; both write a machine-readable JSON error record to
-standard error.
+significant digits; a CSV cell holding a flat list is joined by ';', a
+nested one is one line of JSON.  Validation problems exit with code 2,
+numerical failures with code 3; both write a machine-readable JSON error
+record to standard error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 from math import pi
 
 from . import contours
-from .assembler import assemble_term, enumerate_configs, rank_terms
+from .assembler import assemble_terms, enumerate_configs, rank_terms
 from .dressed import ModelParams, solve_dressed_set
 from .errors import NumericalError, ValidationError, XXZError
 from .saddles import classify_structure, fermi_velocity, v_infinity
@@ -57,42 +58,27 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _to_jsonable(obj):
-    """Normalise to plain JSON types; complex becomes [re, im]. Only the CSV
-    writer needs this; `_dumps` takes the same types in one pass."""
-    if isinstance(obj, dict):
-        return {str(k): _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
-    raise ValidationError(f"cannot serialize value of type {type(obj).__name__}")
-
-
-def _dumps(obj, indent: int = 0) -> str:
+def _dumps(obj, indent: int | None = 0) -> str:
     """Deterministic JSON text with floats at 17 significant digits; tuples
-    are lists and complex numbers [re, im]."""
+    are lists and complex numbers [re, im]. indent None writes one line."""
     if isinstance(obj, float):
         if math.isnan(obj) or math.isinf(obj):
             raise NumericalError(f"non-finite value {obj} in output")
         return _fmt_float(obj)
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  "{k}": {_dumps(v, indent + 1)}' for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad}  {_dumps(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, (dict, list, tuple)):
+        inner = None if indent is None else indent + 1
+        if isinstance(obj, dict):
+            open_, close = "{", "}"
+            items = [f'"{k}": {_dumps(v, inner)}' for k, v in obj.items()]
+        else:
+            open_, close = "[", "]"
+            items = [_dumps(v, inner) for v in obj]
+        if not items:
+            return open_ + close
+        if indent is None:
+            return open_ + ", ".join(items) + close
+        pad = "  " * indent
+        return f"{open_}\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}{close}"
     if isinstance(obj, complex):
         return _dumps([obj.real, obj.imag], indent)
     if isinstance(obj, bool):
@@ -107,15 +93,20 @@ def _dumps(obj, indent: int = 0) -> str:
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
+    """One CSV cell: scalars as in `_dumps` but strings bare and None empty,
+    a flat list or complex number joined by ';', anything nested as one line
+    of JSON."""
     if v is None:
         return ""
-    if isinstance(v, float):
-        return _fmt_float(v)
-    if isinstance(v, list):
+    if isinstance(v, str):
+        return v
+    if isinstance(v, complex):
+        v = [v.real, v.imag]
+    if isinstance(v, (list, tuple)) and not any(
+        isinstance(x, (dict, list, tuple, complex)) for x in v
+    ):
         return ";".join(_csv_cell(x) for x in v)
-    return str(v)
+    return _dumps(v, None)
 
 
 def _to_csv(rows) -> str:
@@ -136,7 +127,7 @@ def _to_csv(rows) -> str:
 
 def _emit(payload, opts) -> None:
     if opts["format"] == "csv":
-        text = _to_csv(_to_jsonable(payload))
+        text = _to_csv(payload)
     else:
         text = _dumps(payload) + "\n"
     out = opts.get("out")
@@ -345,9 +336,7 @@ def _cmd_exponents(opts):
         configs = enumerate_configs(
             spin, "general", opts["bound"], cat, structure=structure
         )
-    terms = rank_terms(
-        [assemble_term(c, v, ds, structure=structure) for c in configs]
-    )
+    terms = rank_terms(assemble_terms(configs, v, ds, structure=structure))
     rows = []
     for t in terms:
         rows.append(

@@ -428,53 +428,39 @@ class ContourSpec:
         return [(p.a, p.b) for p in self.panels]
 
 
-def _line_panels(
-    y: complex, lo: float, hi: float, coeff: complex, order: int, step: float = 1.0
-):
-    """Horizontal panels at height Im(y), split into sub-panels of <= step.
+def _line_panels(y: complex, lo: float, hi: float, coeff: complex, order: int):
+    """Horizontal panels at height Im(y), split into sub-panels of length <= 1.
 
     Short panels keep Gauss-Legendre accurate even when the integrand has
     complex singularities close to the line (the interaction weights pass
     within ~0.08 of the shifted line for some anisotropies).
     """
-    n_sub = max(1, math.ceil((hi - lo) / step))
+    n_sub = max(1, math.ceil(hi - lo))
     edges = np.linspace(lo, hi, n_sub + 1)
     return [
         Panel(b0 + y, b1 + y, coeff, order) for b0, b1 in zip(edges, edges[1:])
     ]
 
 
-def _hooked_real_panels(
-    lo: float,
-    hi: float,
-    coeff: complex,
-    order: int,
-    q: float,
-    delta: float,
-    shift: complex = 0.0,
-):
-    """Real-axis panels from lo to hi with downward hooks at +-q."""
-    hooks = [c for c in (-q, q) if lo + delta < c < hi - delta]
+def _hooked_real_panels(lo: float, hi: float, coeff: complex, order: int):
+    """Real-axis panels from lo to hi with downward hooks of depth HOOK_DEPTH
+    at +-HOOK_CENTER."""
+    delta = HOOK_DEPTH
+    hooks = [c for c in (-HOOK_CENTER, HOOK_CENTER) if lo + delta < c < hi - delta]
     panels = []
     cur = lo
     for c in hooks:
-        panels.extend(_line_panels(shift, cur, c - delta, coeff, order))
-        panels.append(Panel(c - delta + shift, c - 1j * delta + shift, coeff, 16))
-        panels.append(Panel(c - 1j * delta + shift, c + delta + shift, coeff, 16))
+        panels.extend(_line_panels(0.0, cur, c - delta, coeff, order))
+        panels.append(Panel(c - delta, c - 1j * delta, coeff, 16))
+        panels.append(Panel(c - 1j * delta, c + delta, coeff, 16))
         cur = c + delta
-    panels.extend(_line_panels(shift, cur, hi, coeff, order))
+    panels.extend(_line_panels(0.0, cur, hi, coeff, order))
     return panels
 
 
-def contour_c1(
-    zeta: float,
-    L: float = TRUNCATION,
-    order: int = 64,
-    q: float = HOOK_CENTER,
-    delta: float = HOOK_DEPTH,
-) -> ContourSpec:
+def contour_c1(zeta: float, L: float = TRUNCATION, order: int = 64) -> ContourSpec:
     """Particle contour: hooked real line plus the reversed shifted line."""
-    panels = _hooked_real_panels(-L, L, 1.0, order, q, delta)
+    panels = _hooked_real_panels(-L, L, 1.0, order)
     panels.extend(_line_panels(0.5j * pi, -L, L, -1.0, order))
     return ContourSpec("C1", tuple(panels))
 
@@ -530,8 +516,6 @@ def contour_c1a(
     A: float,
     order: int = 32,
     inset: float = 0.0,
-    q: float = HOOK_CENTER,
-    delta: float = HOOK_DEPTH,
     refine: bool = False,
 ) -> ContourSpec:
     """Compactified loop contour with regime-dependent vertical closures.
@@ -545,10 +529,10 @@ def contour_c1a(
     Ap = A - inset
     vorder = 24 if refine else order
     nv = 8 if refine else 0
-    panels = _hooked_real_panels(-Ap, Ap, 1.0, order, q, delta)
+    panels = _hooked_real_panels(-Ap, Ap, 1.0, order)
     if refine and Ap > 1.2:
         # finer end panels resolve corner interactions with nearby verticals
-        panels = _hooked_real_panels(-Ap + 0.6, Ap - 0.6, 1.0, order, q, delta)
+        panels = _hooked_real_panels(-Ap + 0.6, Ap - 0.6, 1.0, order)
         panels.insert(0, Panel(-Ap, -Ap + 0.6, 1.0, 32))
         panels.append(Panel(Ap - 0.6, Ap, 1.0, 32))
     # right vertical
@@ -868,8 +852,6 @@ def eval_identity_n2(
     L: float = TRUNCATION,
     separation: float = SEPARATION,
     levels: int = 1,
-    q: float = HOOK_CENTER,
-    delta: float = HOOK_DEPTH,
 ) -> dict:
     """Evaluate both sides of the two-variable deformation identity.
 
@@ -884,7 +866,7 @@ def eval_identity_n2(
     s2 = _sign_sin(2, zeta)
     red01 = reduce_residue(J, (0, 1), zeta)
 
-    c1 = contour_c1(zeta, L, order, q, delta)
+    c1 = contour_c1(zeta, L, order)
     c2 = contour_c2(zeta, L, order)
     refine = A < 6.0
     rays = ContourSpec(
@@ -900,14 +882,14 @@ def eval_identity_n2(
     d1 = c1.discretize()
     lhs = 0.5 * _int2_pair(d1, d1, J, zeta) + cluster
 
-    outer = contour_c1a(zeta, tau_L, tau_R, A, order, 0.0, q, delta, refine)
+    outer = contour_c1a(zeta, tau_L, tau_R, A, order, 0.0, refine)
     if not J.is_zero:
         certify_clearance(outer, J.g_poles(), label="encased outer")
     nO, wO = outer.discretize()
     vO = wO * J.g(nO)
 
     def encased(s: float) -> complex:
-        inner = contour_c1a(zeta, tau_L, tau_R, A, order, s, q, delta, refine)
+        inner = contour_c1a(zeta, tau_L, tau_R, A, order, s, refine)
         if not J.is_zero:
             certify_clearance(inner, J.g_poles(), label="encased inner")
         nI, wI = inner.discretize()
@@ -949,8 +931,6 @@ def eval_identity_n3(
     L: float = TRUNCATION,
     separation: float = SEPARATION,
     levels: int = 1,
-    q: float = HOOK_CENTER,
-    delta: float = HOOK_DEPTH,
 ) -> dict:
     """Evaluate both sides of the three-variable deformation identity.
 
@@ -965,7 +945,7 @@ def eval_identity_n3(
     red110 = reduce_residue(J, (1, 1, 0), zeta)
     red001 = reduce_residue(J, (0, 0, 1), zeta)
 
-    c1 = contour_c1(zeta, L, order, q, delta)
+    c1 = contour_c1(zeta, L, order)
     c2 = contour_c2(zeta, L, order)
     c3 = contour_c3(zeta, L, order)
     refine = A < 6.0
@@ -998,7 +978,7 @@ def eval_identity_n3(
 
     def make_loop(s: float):
         if s not in built:
-            loop = contour_c1a(zeta, tau_L, tau_R, A, order, s, q, delta, refine)
+            loop = contour_c1a(zeta, tau_L, tau_R, A, order, s, refine)
             if not J.is_zero:
                 certify_clearance(loop, J.g_poles(), label="encased loop")
             built[s] = loop.discretize()

@@ -250,7 +250,6 @@ class DressedSet:
 
         self._phase_cache: dict = {}
         self._line_cache: dict = {}  # saddles: v-independent carrier-line curves
-        self._saddle_cache: dict = {}  # assembler: complex u_r, p_r' and phi at saddles
         self.p_F = self._compute_p1(q)
 
         # positivity checks demanded of every solved set

@@ -13,11 +13,7 @@ from math import pi
 import numpy as np
 import pytest
 
-from xxzchain.assembler import (
-    conformal_exponent,
-    conformal_rapidity_set,
-    theta_upsilon,
-)
+from oracles import conformal_exponent, conformal_rapidity_set, theta_upsilon
 from xxzchain.contours import (
     eval_identity_n2,
     eval_identity_n3,

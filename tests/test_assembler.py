@@ -7,26 +7,33 @@ from math import pi
 
 import pytest
 
-from xxzchain.assembler import (
-    AsymptoticTerm,
+from oracles import (
     RapiditySet,
-    _count_vectors,
-    assemble_term,
     conformal_exponent,
     conformal_rapidity_set,
-    enumerate_configs,
     excitation_energy_momentum,
-    make_config,
-    rank_terms,
-    saddle_rapidity_set,
     shift_exponent,
     theta_upsilon,
+)
+from xxzchain.assembler import (
+    AsymptoticTerm,
+    _count_vectors,
+    assemble_terms,
+    enumerate_configs,
+    make_config,
+    rank_terms,
 )
 from xxzchain.dressed import DressedSet, ModelParams, solve_dressed_set
 from xxzchain.errors import RegimeMismatchError, ValidationError
 from xxzchain.kernels import bare_phase, string_combinatorics
 from xxzchain.saddles import classify_structure, fermi_velocity, u_r, v_infinity
 from xxzchain.strings import catalog
+
+
+def assemble_one(config, v, ds, structure):
+    """The table of one configuration."""
+    [term] = assemble_terms([config], v, ds, structure)
+    return term
 
 
 @pytest.fixture(scope="module")
@@ -227,7 +234,7 @@ class TestCountVectors:
 class TestAssemble:
     def test_empty_config(self, ds_05365, timelike_05365):
         v, structure = timelike_05365
-        term = assemble_term(make_config(0, 0), v, ds_05365, structure)
+        term = assemble_one(make_config(0, 0), v, ds_05365, structure)
         assert term.C_n == 1.0
         assert term.delta_sp == 0.0
         assert term.phase == 0.0
@@ -237,21 +244,21 @@ class TestAssemble:
         v, structure = timelike_05365
         cfg = make_config(-2, -2, n0=2, n1=1, strings={2: 1, 3: 1})
         # spin: -2 - 2 - 2 + 1 + 2 + 3 = 0
-        term = assemble_term(cfg, v, ds_05365, structure)
+        term = assemble_one(cfg, v, ds_05365, structure)
         assert term.delta_sp == 0.5 * (4 + 1 + 1 + 1)
 
     def test_phase_linearity(self, ds_05365, timelike_05365):
         v, structure = timelike_05365
         c1 = make_config(-1, -1, n0=1, n1=1, strings={2: 1})
         c2 = make_config(-2, -2, n0=2, n1=2, strings={2: 2})
-        t1 = assemble_term(c1, v, ds_05365, structure)
-        t2 = assemble_term(c2, v, ds_05365, structure)
+        t1 = assemble_one(c1, v, ds_05365, structure)
+        t2 = assemble_one(c2, v, ds_05365, structure)
         assert abs(t2.phase - 2 * t1.phase) < 1e-12 * max(1.0, abs(t1.phase))
 
     def test_free_fermion_hole_term(self, ff):
         v = 2.0
         structure = classify_structure(v, ff, r_max=2)
-        term = assemble_term(make_config(1, 0, n0=1), v, ff, structure)
+        term = assemble_one(make_config(1, 0, n0=1), v, ff, structure)
         omega0 = 0.5 * math.atanh(v / 4)
 
         def phi_ff(lam, mu):
@@ -275,7 +282,7 @@ class TestAssemble:
     def test_curvature_amplitude_oracle(self, ff):
         v = 2.0
         structure = classify_structure(v, ff, r_max=2)
-        term = assemble_term(make_config(1, 0, n0=1), v, ff, structure)
+        term = assemble_one(make_config(1, 0, n0=1), v, ff, structure)
         omega0 = 0.5 * math.atanh(v / 4)
         h = 1e-4
         u2 = (
@@ -286,46 +293,34 @@ class TestAssemble:
         want = 1.0 / math.sqrt(2 * pi * abs(u2))
         assert abs(abs(term.C_n) - want) < 1e-6
 
-    def test_placeholder_rapidities(self, ds_05365, timelike_05365):
-        v, structure = timelike_05365
-        cfg = make_config(-1, -1, n0=1, n1=1, strings={2: 1})
-        Y = saddle_rapidity_set(cfg, structure)
-        assert len(Y.holes) == 1 and abs(Y.holes[0]) < ds_05365.q
-        assert len(Y.particles) == 1
-        assert abs(Y.particles[0].imag - pi / 2) < 1e-12
-        term = assemble_term(cfg, v, ds_05365, structure)
-        assert term.amplitude_placeholder == Y
-        E, P, U = excitation_energy_momentum(Y, v, ds_05365)
-        assert math.isfinite(E) and math.isfinite(P)
-
     def test_spin_constraint_enforced(self, ds_05365, timelike_05365):
         v, structure = timelike_05365
         with pytest.raises(ValidationError):
-            assemble_term(make_config(1, 0, n0=0), v, ds_05365, structure)
+            assemble_one(make_config(1, 0, n0=0), v, ds_05365, structure)
 
     def test_missing_saddle_is_regime_mismatch(self, ds_05365):
         vinf = v_infinity(ds_05365)
         v = 1.5 * vinf
         structure = classify_structure(v, ds_05365, r_max=3)
         with pytest.raises(RegimeMismatchError):
-            assemble_term(make_config(-1, 0, n0=1), v, ds_05365, structure)
+            assemble_one(make_config(-1, 0, n0=1), v, ds_05365, structure)
         with pytest.raises(RegimeMismatchError):
-            assemble_term(
+            assemble_one(
                 make_config(-2, 0, strings={2: 1}), v, ds_05365, structure
             )
 
     def test_massive_without_structure(self, ds_05365):
         with pytest.raises(RegimeMismatchError):
-            assemble_term(make_config(1, 0, n0=1), 1.0, ds_05365, None)
+            assemble_one(make_config(1, 0, n0=1), 1.0, ds_05365, None)
 
     def test_wrong_velocity_structure(self, ds_05365, timelike_05365):
         v, structure = timelike_05365
         with pytest.raises(ValidationError):
-            assemble_term(make_config(0, 0), 2 * v, ds_05365, structure)
+            assemble_one(make_config(0, 0), 2 * v, ds_05365, structure)
 
 
 class TestSaddleMemo:
-    """assemble_term evaluates each saddle quantity once per solved set."""
+    """assemble_terms evaluates each saddle quantity once per call."""
 
     POINT = dict(J=1.0, zeta=0.4204 * pi, q=0.45, order=32)
     V = 3.0
@@ -339,9 +334,9 @@ class TestSaddleMemo:
         ds = solve_dressed_set(ModelParams(**self.POINT))
         structure, configs = self._table(ds)
         assert len(configs) > 50
-        shared = [assemble_term(c, self.V, ds, structure) for c in configs]
+        shared = assemble_terms(configs, self.V, ds, structure)
         for cfg, term in zip(configs, shared):
-            fresh = assemble_term(
+            fresh = assemble_one(
                 cfg, self.V, solve_dressed_set(ModelParams(**self.POINT)), structure
             )
             for f in dataclasses.fields(AsymptoticTerm):
@@ -365,10 +360,11 @@ class TestSaddleMemo:
         counting("phi", lambda r, lam, mu: (r, lam, complex(mu)))
         counting("p_r_d", lambda lam, r: (r, complex(lam)))
         counting("p_r", lambda lam, r: (r, complex(lam)))
-        for cfg in configs:
-            assemble_term(cfg, self.V, ds, structure)
-        for name, counter in calls.items():
-            assert counter and set(counter.values()) == {1}, (name, counter)
+        assemble_terms(configs, self.V, ds, structure)
+        for name in ("phi", "p_r_d"):
+            assert calls[name] and set(calls[name].values()) == {1}, (name, calls[name])
+        # u_r(omega, v) is read from the saddle points
+        assert not calls["p_r"]
         # phi at both Fermi boundaries for every saddle and for +-q
         assert {lam for _, lam, _ in calls["phi"]} == {ds.q, -ds.q}
 
@@ -379,31 +375,25 @@ class TestSaddleMemo:
         cfg = make_config(-1, 0, n1=1)
         for _ in range(2):
             with pytest.raises(ValidationError, match="hat reduction"):
-                assemble_term(cfg, 2.0, ff, structure)
+                assemble_terms([cfg], 2.0, ff, structure)
 
 
 class TestRank:
     def test_conformal_order_unit_charge(self, ff):
-        terms = [
-            assemble_term(cfg, 10.0, ff, None)
-            for cfg in enumerate_configs(0, "conformal", 1, [])
-        ]
+        terms = assemble_terms(enumerate_configs(0, "conformal", 1, []), 10.0, ff, None)
         ranked = rank_terms(terms)
         exps = [t.total_exponent for t in ranked]
         assert abs(exps[0]) < 1e-12
         assert abs(exps[1] - 2.0) < 1e-9 and abs(exps[2] - 2.0) < 1e-9
 
     def test_single_term(self, ff):
-        term = assemble_term(make_config(0, 0), 10.0, ff, None)
+        term = assemble_one(make_config(0, 0), 10.0, ff, None)
         assert rank_terms([term]) == [term]
 
     def test_time_like_bound_one_order(self, ds_05365, timelike_05365):
         v, structure = timelike_05365
         cat = catalog(0.5365 * pi, 5, ds=ds_05365)
-        terms = [
-            assemble_term(cfg, v, ds_05365, structure)
-            for cfg in enumerate_configs(0, "time-like", 1, cat)
-        ]
+        terms = assemble_terms(enumerate_configs(0, "time-like", 1, cat), v, ds_05365, structure)
         ranked = rank_terms(terms)
         exps = [t.total_exponent for t in ranked]
         assert exps == sorted(exps)

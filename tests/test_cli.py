@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import io
 import json
 import math
 import os
@@ -12,7 +15,7 @@ import xxzchain
 import xxzchain.cli as cli
 import xxzchain.saddles as saddles
 from xxzchain.cli import parse_angle, run
-from xxzchain.errors import ValidationError
+from xxzchain.errors import NumericalError, ValidationError
 
 
 def _run(capsys, argv):
@@ -253,6 +256,41 @@ class TestSaddlesExponents:
             ["exponents", "--zeta", "0.5365pi", "--q", "0.2"],
         )
         assert code == 2
+
+
+class TestCsv:
+    # the golden saddles point of tests/test_golden.py
+    SADDLES = [
+        "saddles", "--zeta", "0.4204pi", "--q", "0.45", "--v", "4.013679514704407",
+        "--order", "32", "--rmax", "2",
+    ]
+
+    def test_nested_cells_are_one_line_json(self, capsys):
+        code, out, _ = _run(capsys, self.SADDLES + ["--format", "csv"])
+        assert code == 0
+        [row] = list(csv.DictReader(io.StringIO(out)))
+        code, text, _ = _run(capsys, self.SADDLES)
+        assert code == 0
+        want = json.loads(text)
+        for key in ("counts", "thresholds", "saddles"):
+            assert "\n" not in row[key]
+            assert json.loads(row[key]) == want[key], key
+        # 17 significant digits inside nested cells too
+        assert "4.4403975457260687" in row["thresholds"]
+        assert row["n_sp"] == "1;2" and row["minimal"] == "true"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_value_raises(self, fmt, capsys, monkeypatch):
+        real = cli.classify_structure
+        monkeypatch.setattr(
+            cli, "classify_structure",
+            lambda *a, **k: dataclasses.replace(real(*a, **k), v_inf=math.nan),
+        )
+        code, out, err = _run(capsys, self.SADDLES + ["--format", fmt])
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "numerical"
+        with pytest.raises(NumericalError):
+            cli._emit({"x": math.nan}, {"format": fmt})
 
 
 class TestNoDiskState:

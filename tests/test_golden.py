@@ -11,7 +11,12 @@ points were generated on commit 0d2b44f, before the endpoint values Z(q) and
 eps(q) that give h in q mode came from the one Nystrom interpolant. Only the
 `thresholds` entries of the saddles files were rewritten, by the first commit
 after fa4e8fe, which reads them off the extrema of V_r = eps_r'/p_r' instead
-of a bisection on saddle counts (v_inf exactly where V_r is monotone). Counts,
+of a bisection on saddle counts (v_inf exactly where V_r is monotone). The
+exponents_{timelike,conformal,spin1} files pin the regimes the space-like
+tables do not reach, all at the 0.4204pi point: a time-like v = v_F / 2
+(kappa_v = -1, hole counts), a v = 1.5 v_inf (Umklapp terms only) and the
+space-like v with --spin 1; they were generated on commit 077e5ee, before the
+table was assembled in one pass over the occupied saddles. Counts,
 row order and integer fields must match exactly; floats must agree to 1e-12
 relative (complex pairs by modulus).
 """
@@ -32,6 +37,13 @@ POINTS = {
 }
 COMMON = ["--order", "32", "--rmax", "2"]
 EXTRA = {"exponents": ["--bound", "2"], "saddles": []}
+
+# further regimes at 0.4204pi: v = v_F / 2, v = 1.5 v_inf, --spin 1
+REGIMES = {
+    "timelike": ["--v", "1.7934807418413727"],
+    "conformal": ["--v", "6.6605963185891035"],
+    "spin1": ["--v", "4.013679514704407", "--spin", "1"],
+}
 
 # h = h_c / 2 = 4 cos(zeta / 2)^2 at the default order 128
 GROUND_POINTS = {
@@ -76,6 +88,15 @@ def test_matches_golden(command, zeta, capsys):
     assert run(argv) == 0
     got = json.loads(capsys.readouterr().out)
     want = json.loads((DATA / f"{command}_zeta{zeta}.json").read_text())
+    _assert_match(got, want)
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_exponent_regimes_match_golden(regime, capsys):
+    argv = ["exponents", "--zeta", "0.4204pi", "--q", "0.45"] + REGIMES[regime]
+    assert run(argv + COMMON + EXTRA["exponents"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((DATA / f"exponents_{regime}_zeta0.4204pi.json").read_text())
     _assert_match(got, want)
 
 
