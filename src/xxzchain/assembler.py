@@ -287,9 +287,9 @@ def _fermi_phases(ds, r: int, mu: complex) -> dict:
 
 
 def _saddle_data(ds, sad, v: float):
-    """(sgn p_r'(omega), u_r(omega, v), `_fermi_phases`) at one saddle."""
+    """(sgn p_r'(omega) from `sad.slope`, u_r(omega, v), `_fermi_phases`) at one saddle."""
     r = max(sad.r, 1)
-    slope = complex(np.asarray(ds.p_r_d(sad.omega, r)).item())
+    slope = sad.slope
     if abs(slope.imag) > 1e-6 * max(1.0, abs(slope)):
         raise ValidationError(
             f"momentum slope not real on the carrier line at {sad.omega!r}: {slope!r}"

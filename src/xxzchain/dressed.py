@@ -10,7 +10,9 @@ Every value off the nodes, complex ones included, is the defining equation
 itself: the driving term minus `_conv`, the quadrature of K_r^(k) against
 node values (the Nystrom interpolant; Atkinson 1997, ch. 4). `eps_r` and
 `p_r_d` give the k-th lam-derivative of eps_r and p_r for every string
-length r this way, `Z` and `phi` the r = 1, k = 0 case.
+length r this way, `Z` and `phi` the r = 1, k = 0 case. `p_eps_d` gives
+p_r^(k) and eps_r^(k) from one pass over kernel orders k - 1 and k, which
+shares the pole guard, cosh, sinh, far-field tables and kernel blocks.
 
 Every carrier line lies at Im lam = 0 or pi/2, where `_conv` runs in real
 arithmetic: K is i pi periodic and K(t + i pi/2|eta) = K(t|eta + pi/2), so
@@ -97,8 +99,11 @@ class ModelParams:
         KernelParams(zeta=self.zeta)  # near-rational warning
 
 
-def _conv(quad, zeta: float, lam, values, r: int = 1, k: int = 0):
+def _conv(quad, zeta: float, lam, values, r: int = 1, k=0):
     """sum_j w_j K_r^(k)(lam - x_j) values_j over the rule `quad`, shaped as lam.
+    A tuple k of orders, with one node-value vector per order in `values`,
+    gives one sum per order from one line test, `_far_rows` mask, `_powers`
+    table per side and kernel block per row block; each keeps its own product.
 
     When every lam lies on Im lam = 0, or every one on |Im lam| = pi/2, the
     kernel is taken real at t = Re lam (at eta + pi/2 on the second line);
@@ -110,35 +115,43 @@ def _conv(quad, zeta: float, lam, values, r: int = 1, k: int = 0):
     one-row product goes through dot, so only this split keeps every row
     bit-identical to the one-matrix product.
     """
+    orders, values = (k, values) if isinstance(k, tuple) else ((k,), (values,))
     lam = np.asarray(lam)
     t, shift = lam, 0.0
-    if np.iscomplexobj(lam):
+    if lam.dtype.kind == "c":
         im = np.abs(lam.imag)
         if not im.any():
             t = lam.real
         elif np.all(im == pi / 2):
             t, shift = lam.real, pi / 2
-    t, wv = t.reshape(-1), quad.weights * values
-    if np.isrealobj(t) and t.size >= _FAR_TERMS:
-        far = _far_rows(t, *quad.interval)
-        if np.count_nonzero(far) >= _FAR_TERMS:
-            out = np.empty(t.shape, np.result_type(float, wv))
-            out[far] = _far_field(quad, zeta, t[far], wv, r, k, shift)
-            if not far.all():
-                out[~far] = _dense_conv(quad, zeta, t[~far], wv, r, k, shift)
-            return out.reshape(lam.shape)
-    return _dense_conv(quad, zeta, t, wv, r, k, shift).reshape(lam.shape)
+    t, wvs = t.reshape(-1), [quad.weights * v for v in values]
+    if t.dtype.kind == "c" or t.size < _FAR_TERMS or np.count_nonzero(
+            far := _far_rows(t, *quad.interval)) < _FAR_TERMS:
+        outs = _dense_conv(quad, zeta, t, wvs, r, orders, shift)
+    else:
+        outs = [np.empty(t.shape, np.result_type(float, wv)) for wv in wvs]
+        for out, rows in zip(outs, _far_field(quad, zeta, t[far], wvs, r, orders, shift)):
+            out[far] = rows
+        if not far.all():
+            for out, rows in zip(outs, _dense_conv(quad, zeta, t[~far], wvs, r, orders, shift)):
+                out[~far] = rows
+    outs = tuple([out.reshape(lam.shape) for out in outs])
+    return outs if isinstance(k, tuple) else outs[0]
 
 
-def _dense_conv(quad, zeta, t, wv, r, k, shift):
-    """The rows of `_conv` on flat t from the kernel matrix, in row blocks."""
+def _dense_conv(quad, zeta, t, wvs, r, orders, shift):
+    """The rows of `_conv` on flat t from the kernel matrix, in row blocks,
+    one array per order."""
     t = t.reshape(-1, 1)
     starts = list(range(0, len(t), CONV_BLOCK_ROWS))
     if len(starts) > 1 and len(t) - starts[-1] == 1:
         starts.pop()  # a one-row product goes through dot, not gemv
     ends = starts[1:] + [len(t)]
-    return np.concatenate([kernel_kr(t[i:j] - quad.nodes, r, zeta, k, shift) @ wv
-                           for i, j in zip(starts, ends)])
+    outs = [[] for _ in wvs]
+    for i, j in zip(starts, ends):
+        for out, K, wv in zip(outs, kernel_kr(t[i:j] - quad.nodes, r, zeta, orders, shift), wvs):
+            out.append(K @ wv)
+    return [np.concatenate(out) if len(out) > 1 else out[0] for out in outs]
 
 
 def _far_rows(t, a: float, b: float):
@@ -153,9 +166,9 @@ def _far_rows(t, a: float, b: float):
     return np.bincount(group, ~far)[group] == 0
 
 
-def _far_field(quad, zeta, t, wv, r, k, shift):
+def _far_field(quad, zeta, t, wvs, r, orders, shift):
     """The rows of `_conv` at real t at least _FAR_GAP outside the rule's
-    interval [a, b], from the Chebyshev-U series of K.
+    interval [a, b], from the Chebyshev-U series of K, one array per order.
 
     K(lam|eta) = (2 sin 2 eta / pi) sum_m U_m(cos 2 eta) e^(-2 (m+1)|lam|)
     for real lam != 0 (`quadrature._chebyshev_u`). For t >= b + _FAR_GAP the sum
@@ -172,13 +185,14 @@ def _far_field(quad, zeta, t, wv, r, k, shift):
             coef += 2 * s2 / pi * _chebyshev_u(2 * cos(2 * eta))
     m1 = np.arange(1, _FAR_TERMS + 1)
     a, b = quad.interval
-    out = np.empty(t.shape, np.result_type(float, wv))
+    outs = [np.empty(t.shape, np.result_type(float, wv)) for wv in wvs]
     for rows, edge, sign in ((t > b, b, -1), (t < a, a, 1)):
         if rows.any():
-            moments = _powers(np.exp(2 * sign * (edge - quad.nodes))) @ wv
-            out[rows] = (coef * (2 * sign * m1) ** k * moments
-                         ) @ _powers(np.exp(2 * sign * (t[rows] - edge)))
-    return out
+            at_nodes = _powers(np.exp(2 * sign * (edge - quad.nodes)))
+            at_rows = _powers(np.exp(2 * sign * (t[rows] - edge)))
+            for out, wv, k in zip(outs, wvs, orders):
+                out[rows] = (coef * (2 * sign * m1) ** k * (at_nodes @ wv)) @ at_rows
+    return outs
 
 
 def _powers(z):
@@ -289,8 +303,10 @@ class DressedSet:
 
     # -- dressed energies and momentum derivatives ---------------------------
 
-    def _extend(self, lam, r: int, k: int, const, coef: float, values):
-        """const + coef K^(k)(lam|r zeta/2) - _conv(lam, values, r, k).
+    def _extend(self, lam, r: int, *terms):
+        """const + coef K^(k)(lam|r zeta/2) - _conv(lam, values, r, k) for
+        each term (k, const, coef, values), as a list, from one pole guard,
+        one `_conv` pass and one driving-term kernel call.
 
         The defining equation of eps_r (values eps_1) and p_r' (values p_1'),
         differentiated k times, evaluated on and off the Fermi segment. For
@@ -303,7 +319,7 @@ class DressedSet:
                 if abs(sin(2 * e)) > 1e-15]
         if etas:
             lam_arr = np.asarray(lam)
-            if not np.iscomplexobj(lam_arr):
+            if lam_arr.dtype.kind != "c":
                 ims = [0.0]
             else:
                 imag = lam_arr.imag.ravel()
@@ -316,20 +332,32 @@ class DressedSet:
                         f"evaluation at Im(lam)={im} within {EXTENSION_POLE_GUARD} "
                         "of a kernel pole line"
                     )
-        conv = _conv(self.quad, self.zeta, lam, values, r, k)
-        return const + coef * kernel_k(lam, r * self.zeta / 2, k) - conv
+        orders, consts, coefs, values = zip(*terms)
+        conv = _conv(self.quad, self.zeta, lam, values, r, orders)
+        drive = kernel_k(lam, r * self.zeta / 2, orders)
+        return [const + coef * K - cv for const, coef, K, cv in zip(consts, coefs, drive, conv)]
+
+    def _eps_term(self, r: int, k: int):
+        return k, r * self.h if k == 0 else 0, -4 * pi * self.J * sin(self.zeta), self.eps1
+
+    def _p_term(self, k: int):
+        if k < 1:
+            raise ValidationError(f"p_r_d needs a derivative order k >= 1, got {k}")
+        return k - 1, 0, 2 * pi, self.p1prime
 
     def eps_r(self, lam, r: int = 1, k: int = 0):
         """k-th lam-derivative of the dressed energy of the r-string,
         evaluable on and off its carrier line."""
-        c = 4 * pi * self.J * sin(self.zeta)
-        return self._extend(lam, r, k, r * self.h if k == 0 else 0, -c, self.eps1)
+        return self._extend(lam, r, self._eps_term(r, k))[0]
 
     def p_r_d(self, lam, r: int = 1, k: int = 1):
         """k-th lam-derivative (k >= 1) of the dressed momentum p_r."""
-        if k < 1:
-            raise ValidationError(f"p_r_d needs a derivative order k >= 1, got {k}")
-        return self._extend(lam, r, k - 1, 0, 2 * pi, self.p1prime)
+        return self._extend(lam, r, self._p_term(k))[0]
+
+    def p_eps_d(self, lam, r: int = 1, k: int = 1):
+        """(p_r^(k), eps_r^(k)) for k >= 1, equal to (p_r_d, eps_r) bit for
+        bit, from one `_extend` pass over kernel orders (k - 1, k)."""
+        return tuple(self._extend(lam, r, self._p_term(k), self._eps_term(r, k)))
 
     @staticmethod
     def _reduce_periodic(lam: complex) -> complex:

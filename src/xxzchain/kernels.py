@@ -29,6 +29,7 @@ import numpy as np
 from .errors import ContourError, PoleProximityError, ValidationError
 
 _ETA_ZERO_TOL = 1e-15
+_ORDERS = frozenset((0, 1, 2))
 POLE_ERROR_DIST = 1e-12
 PHASE_POLE_DIST = 1e-10
 
@@ -62,9 +63,9 @@ def _near_pole(lam, eta_hat: float, tol: float) -> bool:
     lam the line distance is taken only in the strip |Re lam| < tol, since
     hypot(Re lam, d) >= |Re lam| outside it; NaN and inf (a non-finite sum)
     take the full path."""
-    if not np.iscomplexobj(lam):
-        return min(eta_hat, pi - eta_hat) < tol and _pole_distance(lam, eta_hat) < tol
     lam = np.asarray(lam)
+    if lam.dtype.kind != "c":
+        return min(eta_hat, pi - eta_hat) < tol and _pole_distance(lam, eta_hat) < tol
     if lam.size and np.isfinite(lam.sum()):
         lam = lam[np.abs(lam.real) < tol]
         if not lam.size:
@@ -72,38 +73,50 @@ def _near_pole(lam, eta_hat: float, tol: float) -> bool:
     return bool(np.min(_pole_distance(lam, eta_hat)) < tol)
 
 
-def kernel_k(lam, eta: float, k: int = 0):
+def kernel_k(lam, eta: float, k=0):
     """The kernel K(lam|eta) (k = 0) or its k-th lam-derivative (k = 1, 2);
-    i pi periodic in lam, even for k = 0 and 2, odd for k = 1."""
-    if k not in (0, 1, 2):
+    i pi periodic in lam, even for k = 0 and 2, odd for k = 1. A tuple k of
+    orders gives a tuple with one array per order, all from one 2 lam, one
+    cosh, one sinh and one d = cosh 2 lam - cos 2 eta."""
+    run = isinstance(k, tuple)
+    orders = k if run else (k,)
+    if not orders or not _ORDERS.issuperset(orders):
         raise ValidationError(f"kernel derivative order must be 0, 1 or 2, got {k}")
     lam = np.asarray(lam)
     s2 = sin(2 * eta)
     if abs(s2) < _ETA_ZERO_TOL:
-        return np.zeros(lam.shape) if lam.shape else 0.0
-    if _near_pole(lam, w_hat(eta), POLE_ERROR_DIST):
+        out = [np.zeros(lam.shape) if lam.shape else 0.0 for _ in orders]
+    elif _near_pole(lam, w_hat(eta), POLE_ERROR_DIST):
         raise PoleProximityError(f"kernel_k sampled within {POLE_ERROR_DIST} of a pole")
-    if k == 0:
-        return s2 / (pi * (np.cosh(2 * lam) - np.cos(2 * eta)))
-    if k == 1:
-        # kept apart from the k = 2 form: fewer arrays alive, faster on large real lam
-        d = np.cosh(2 * lam) - np.cos(2 * eta)
-        return -2 * s2 * np.sinh(2 * lam) / (pi * d * d)
-    lam2 = 2 * lam
-    ch, sh = np.cosh(lam2), np.sinh(lam2)
-    d = ch - np.cos(2 * eta)
-    return s2 * (-4 * ch / (pi * d * d) + 8 * sh * sh / (pi * d * d * d))
+    else:
+        lam2 = 2 * lam
+        ch = np.cosh(lam2)
+        sh = np.sinh(lam2) if orders != (0,) else None
+        d = ch - np.cos(2 * eta)
+        # on a Nystrom matrix these are large: keep alive only what the orders read
+        lam2, ch = None, ch if 2 in orders else None
+        out = []
+        for o in orders:
+            if o == 0:
+                out.append(s2 / (pi * d))
+            elif o == 1:
+                out.append(-2 * s2 * sh / (pi * d * d))
+            else:
+                out.append(s2 * (-4 * ch / (pi * d * d) + 8 * sh * sh / (pi * d * d * d)))
+    return tuple(out) if run else out[0]
 
 
-def kernel_kr(lam, r: int, zeta: float, k: int = 0, shift: float = 0.0):
+def kernel_kr(lam, r: int, zeta: float, k=0, shift: float = 0.0):
     """k-th lam-derivative of the bound-state kernel
     K_r = K(.|zeta (r+1)/2) + K(.|zeta (r-1)/2), each eta raised by `shift`;
-    for r = 1 the second summand is K(.|0) = 0 and is not built. With
-    shift = pi/2 and real lam this is K_r^(k)(lam + i pi/2), in real arithmetic."""
+    a tuple k gives one array per order, as `kernel_k`. For r = 1 the second
+    summand is K(.|0) = 0 and is not built. With shift = pi/2 and real lam
+    this is K_r^(k)(lam + i pi/2), in real arithmetic."""
     hi = kernel_k(lam, zeta * (r + 1) / 2 + shift, k)
     if r == 1:
         return hi
-    return hi + kernel_k(lam, zeta * (r - 1) / 2 + shift, k)
+    lo = kernel_k(lam, zeta * (r - 1) / 2 + shift, k)
+    return tuple([a + b for a, b in zip(hi, lo)]) if isinstance(k, tuple) else hi + lo
 
 
 @dataclass(frozen=True)

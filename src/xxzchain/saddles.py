@@ -1,7 +1,9 @@
 """Phase functions u_r(lam, v) = p_r(lam) - eps_r(lam)/v and their saddle points.
 
 `u_r(lam, v, r, ds, k)` is the k-th lam-derivative (k = 0, 1, 2), built from
-`DressedSet.p_r`, `DressedSet.p_r_d` and `DressedSet.eps_r` at the same order.
+`DressedSet.p_r` and `DressedSet.eps_r` for k = 0 and from the one pass of
+`DressedSet.p_eps_d` for k >= 1. Scans, refinements, root steps, curvatures
+and the velocities read p_r^(k) and eps_r^(k) from that pass too.
 
 Species are labelled by the string length r >= 1, with the convention that
 zeros of u_1' on the real line are reported as species 0 (hole branch) and
@@ -23,10 +25,9 @@ from .errors import (
     ConsistencyError,
     InvalidStringError,
     NearCriticalError,
-    SignInconsistencyError,
     ValidationError,
 )
-from .quadrature import _legendre_rule, find_root_bracketed
+from .quadrature import find_root_bracketed
 from .strings import string_exists
 
 SCAN_HALF_WIDTH = 15.0
@@ -34,12 +35,12 @@ SCAN_POINTS = 2000
 NEAR_CRITICAL_BAND = 1e-6
 REFINE_POINTS = 129
 DEGENERATE_CURVATURE = 1e-8
-ASYMPTOTIC_PROBE_X = 12.0
 
 
 @dataclass(frozen=True)
 class SaddlePoint:
-    """A zero of u_r' on a carrier line with its local quadratic data."""
+    """A zero of u_r' on a carrier line with its local quadratic data and
+    the momentum slope p_r'(omega)."""
 
     r: int
     omega: complex
@@ -47,6 +48,7 @@ class SaddlePoint:
     u_second: float
     eps_sign: int
     scale: float
+    slope: complex
 
 
 @dataclass(frozen=True)
@@ -78,15 +80,16 @@ def u_r(lam, v: float, r: int, ds: DressedSet, k: int = 0):
     """k-th lam-derivative of the phase function p_r(lam) - eps_r(lam)/v."""
     if v == 0:
         raise ValidationError("v must be nonzero")
-    p = ds.p_r(lam, r) if k == 0 else np.asarray(ds.p_r_d(lam, r, k))
-    return p - np.asarray(ds.eps_r(lam, r, k)) / v
+    if k == 0:
+        return ds.p_r(lam, r) - np.asarray(ds.eps_r(lam, r)) / v
+    p, e = ds.p_eps_d(lam, r, k)
+    return np.asarray(p) - np.asarray(e) / v
 
 
 def fermi_velocity(ds: DressedSet) -> float:
     """v_F = eps_1'(q) / p_1'(q)."""
-    return float(
-        complex(ds.eps_r(ds.q, 1, 1)).real / complex(ds.p_r_d(ds.q, 1)).real
-    )
+    p, e = ds.p_eps_d(ds.q, 1, 1)
+    return float(complex(e).real / complex(p).real)
 
 
 def v_infinity(ds: DressedSet) -> float:
@@ -100,10 +103,8 @@ def v_infinity(ds: DressedSet) -> float:
     den = 2 * pi - 2 * math.cos(ds.zeta) * np.sum(w * np.cosh(2 * x) * p1p)
     formula = float(num / den)
 
-    probe = SCAN_HALF_WIDTH
-    ratio = float(
-        complex(ds.eps_r(probe, 1, 1)).real / complex(ds.p_r_d(probe, 1)).real
-    )
+    p, e = ds.p_eps_d(SCAN_HALF_WIDTH, 1, 1)
+    ratio = float(complex(e).real / complex(p).real)
     if abs(formula - ratio) > 1e-6 * abs(formula):
         raise ConsistencyError(
             f"v_inf routes disagree: closed form {formula!r} vs "
@@ -145,7 +146,7 @@ def _line_curves(ds: DressedSet, r: int, line_im: float):
     if hit is None:
         half = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)[SCAN_POINTS // 2:]
         lam = half + 1j * line_im
-        pd1, ed1 = np.asarray(ds.p_r_d(lam, r)), np.asarray(ds.eps_r(lam, r, 1))
+        pd1, ed1 = ds.p_eps_d(lam, r, 1)
         hit = (np.concatenate([-half[::-1], half]), np.concatenate([pd1[::-1], pd1]),
                np.concatenate([-ed1[::-1], ed1]))
         for arr in hit:
@@ -176,8 +177,7 @@ def _extrema(ds: DressedSet, r: int, line_im: float, grid, pd1, ed1):
         if abs(abs(vel[i]) - tail) < NEAR_CRITICAL_BAND * tail:
             continue
         xs = np.linspace(grid[i - 1], grid[i + 1], REFINE_POINTS)
-        e = np.real(ds.eps_r(xs + 1j * line_im, r, 1))
-        p = np.real(ds.p_r_d(xs + 1j * line_im, r))
+        p, e = np.real(ds.p_eps_d(xs + 1j * line_im, r, 1))
         local = e / p
         # a maximum of V_r where it rises into the extremum, else a minimum
         j = min(max(int(np.argmax(np.sign(dv[i - 1]) * local)), 1), REFINE_POINTS - 2)
@@ -220,7 +220,8 @@ def _make_saddle(ds: DressedSet, species: int, r: int, x: float, v: float,
                  line_im: float) -> SaddlePoint:
     omega = complex(x, line_im)
     upp = float(np.real(u_r(omega, v, r, ds, 2)))
-    up = abs(complex(u_r(omega, v, r, ds, 1)))
+    slope, e1 = ds.p_eps_d(omega, r, 1)
+    up = abs(complex(np.asarray(slope) - np.asarray(e1) / v))
     scale = math.sqrt(abs(upp) / 2)
     local = max(abs(upp), DEGENERATE_CURVATURE)
     if up > 1e-9 * local * max(1.0, abs(x)):
@@ -234,7 +235,7 @@ def _make_saddle(ds: DressedSet, species: int, r: int, x: float, v: float,
         uval = None
     return SaddlePoint(
         r=species, omega=omega, u_value=uval, u_second=upp,
-        eps_sign=eps_sign, scale=scale,
+        eps_sign=eps_sign, scale=scale, slope=complex(slope),
     )
 
 
@@ -306,45 +307,3 @@ def classify_structure(v: float, ds: DressedSet, r_max: int = 8,
         minimal=minimal, thresholds=thresholds, n_sp=n_sp,
     )
 
-
-def sign_im_u_at_infinity(r: int, v: float, y: float, side: int,
-                          ds: DressedSet) -> int:
-    """Numerical sign of Im u_r at lam = side*12 + i y."""
-    if side not in (1, -1):
-        raise ValidationError("side must be +1 or -1")
-    if not (-pi / 2 < y < pi / 2):
-        raise ValidationError("y must lie in (-pi/2, pi/2)")
-    # Im u_r vanishes at Re(lam) -> +-inf, so the imaginary part at the probe
-    # is (minus) the tail integral of u_r'; u_r' is exact up to roundoff,
-    # which keeps the exponentially small tail sign-resolvable.
-    x0 = ASYMPTOTIC_PROBE_X
-    species = max(r, 1)
-    tail = 0.0 + 0.0j
-    edges = [x0, x0 + 3, x0 + 8, x0 + 15, x0 + 25]
-    nodes, wts = _legendre_rule(32)
-    for a, b in zip(edges, edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        pts = side * (mid + half * nodes) + 1j * y
-        vals = np.asarray(u_r(pts, v, species, ds, 1))
-        tail += side * half * np.sum(wts * vals)
-    im = -float(np.imag(tail))
-    if abs(im) < 1e-30:
-        raise SignInconsistencyError(
-            f"Im u_{r} = {im:.3e} at probe x = {side * x0}: inconclusive"
-        )
-    return 1 if im > 0 else -1
-
-
-def expected_sign_at_infinity(r: int, v: float, y: float, side: int,
-                              ds: DressedSet, vinf: float | None = None) -> int:
-    """Tabulated asymptotic sign of Im u_r for the three velocity regimes."""
-    vinf = v_infinity(ds) if vinf is None else vinf
-    base = math.sin(r * ds.zeta) * math.sin(2 * y)
-    if base == 0:
-        raise ValidationError("degenerate table entry: sin(r zeta) sin(2y) = 0")
-    s = 1 if base > 0 else -1
-    if abs(v) > vinf:
-        return s
-    if v > 0:
-        return -s if side == 1 else s
-    return s if side == 1 else -s

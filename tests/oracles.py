@@ -5,15 +5,26 @@ excited state. `excitation_energy_momentum` sums its dressed energy and
 momentum, `theta_upsilon` its boundary exponents from the dressed phases,
 and `conformal_exponent` gives the closed form of the pure-Umklapp states.
 The tests hold `xxzchain.assembler` and the acceptance criteria to them.
+
+`sign_im_u_at_infinity` integrates the tail of u_r' for the sign of Im u_r
+far out on a line Im lam = y, and `expected_sign_at_infinity` tabulates that
+sign for the three velocity regimes; the saddle tests hold them together.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import pi
+
+import numpy as np
 
 from xxzchain.assembler import REAL_TOL, _realize
-from xxzchain.errors import ValidationError
+from xxzchain.errors import SignInconsistencyError, ValidationError
+from xxzchain.quadrature import _legendre_rule
+from xxzchain.saddles import u_r, v_infinity
 from xxzchain.strings import string_exists
+
+ASYMPTOTIC_PROBE_X = 12.0
 
 
 @dataclass(frozen=True)
@@ -131,3 +142,46 @@ def conformal_exponent(ell: int, s_gamma: int, upsilon: int, ds) -> float:
     """Closed form ell*Z(q) - upsilon*s_gamma / (2 Z(q))."""
     Zq = float(ds.Z(ds.q))
     return ell * Zq - upsilon * s_gamma / (2.0 * Zq)
+
+
+def sign_im_u_at_infinity(r: int, v: float, y: float, side: int,
+                          ds) -> int:
+    """Numerical sign of Im u_r at lam = side*12 + i y."""
+    if side not in (1, -1):
+        raise ValidationError("side must be +1 or -1")
+    if not (-pi / 2 < y < pi / 2):
+        raise ValidationError("y must lie in (-pi/2, pi/2)")
+    # Im u_r vanishes at Re(lam) -> +-inf, so the imaginary part at the probe
+    # is (minus) the tail integral of u_r'; u_r' is exact up to roundoff,
+    # which keeps the exponentially small tail sign-resolvable.
+    x0 = ASYMPTOTIC_PROBE_X
+    species = max(r, 1)
+    tail = 0.0 + 0.0j
+    edges = [x0, x0 + 3, x0 + 8, x0 + 15, x0 + 25]
+    nodes, wts = _legendre_rule(32)
+    for a, b in zip(edges, edges[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        pts = side * (mid + half * nodes) + 1j * y
+        vals = np.asarray(u_r(pts, v, species, ds, 1))
+        tail += side * half * np.sum(wts * vals)
+    im = -float(np.imag(tail))
+    if abs(im) < 1e-30:
+        raise SignInconsistencyError(
+            f"Im u_{r} = {im:.3e} at probe x = {side * x0}: inconclusive"
+        )
+    return 1 if im > 0 else -1
+
+
+def expected_sign_at_infinity(r: int, v: float, y: float, side: int,
+                              ds, vinf: float | None = None) -> int:
+    """Tabulated asymptotic sign of Im u_r for the three velocity regimes."""
+    vinf = v_infinity(ds) if vinf is None else vinf
+    base = math.sin(r * ds.zeta) * math.sin(2 * y)
+    if base == 0:
+        raise ValidationError("degenerate table entry: sin(r zeta) sin(2y) = 0")
+    s = 1 if base > 0 else -1
+    if abs(v) > vinf:
+        return s
+    if v > 0:
+        return -s if side == 1 else s
+    return s if side == 1 else -s

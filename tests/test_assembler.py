@@ -361,10 +361,9 @@ class TestSaddleMemo:
         counting("p_r_d", lambda lam, r: (r, complex(lam)))
         counting("p_r", lambda lam, r: (r, complex(lam)))
         assemble_terms(configs, self.V, ds, structure)
-        for name in ("phi", "p_r_d"):
-            assert calls[name] and set(calls[name].values()) == {1}, (name, calls[name])
-        # u_r(omega, v) is read from the saddle points
-        assert not calls["p_r"]
+        assert calls["phi"] and set(calls["phi"].values()) == {1}, calls["phi"]
+        # u_r(omega, v) and p_r'(omega) are read from the saddle points
+        assert not calls["p_r"] and not calls["p_r_d"]
         # phi at both Fermi boundaries for every saddle and for +-q
         assert {lam for _, lam, _ in calls["phi"]} == {ds.q, -ds.q}
 

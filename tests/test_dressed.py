@@ -513,6 +513,38 @@ class TestCarrierLineReduction:
                 ds.eps_r(0.3 + 1j * line)
 
 
+class TestMomentumEnergyPairs:
+    """`DressedSet.p_eps_d` equals separate `p_r_d` and `eps_r` calls bit for bit."""
+
+    @staticmethod
+    def _assert_pair(ds, lam, r, k):
+        got = ds.p_eps_d(lam, r, k)
+        assert isinstance(got, tuple) and len(got) == 2
+        for g, want in zip(got, (ds.p_r_d(lam, r, k), ds.eps_r(lam, r, k))):
+            assert type(g) is type(want) and np.array_equal(g, want), (lam, r, k)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_half_scan_grid_on_both_lines(self, sets, r, k):
+        ds = sets[(0.5365, 0.2)]
+        half = np.linspace(-15.0, 15.0, 2000)[1000:]
+        far = dressed._far_rows(half, *ds.quad.interval)
+        assert far.any() and not far.all()  # far-field and dense rows both taken
+        for line in (0.0, pi / 2):
+            self._assert_pair(ds, half + 1j * line, r, k)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_scalar_and_off_line(self, sets, r, k):
+        ds = sets[(0.5365, 0.2)]
+        for lam in (0.7, 0.7 + 1j * pi / 2, 0.7 + 0.3j, np.linspace(-3, 3, 7) + 0.3j):
+            self._assert_pair(ds, lam, r, k)
+
+    def test_order_out_of_range(self, sets):
+        with pytest.raises(ValidationError):
+            sets[(0.5365, 0.2)].p_eps_d(0.3, 1, 0)
+
+
 def _assert_dense_or_far_field(t, got, want, q, scale):
     """Rows of `_conv` within _FAR_GAP of [-q, q], complex t, and every row of
     a call with fewer far rows than _FAR_TERMS equal the one-matrix product

@@ -193,6 +193,52 @@ class TestKernelKr:
                 kernel_k(0.3, 0.4, k)
 
 
+class TestOrderRuns:
+    """A tuple of orders gives the single-order values bit for bit."""
+
+    T = np.linspace(-3.0, 3.0, 41)
+    LAMS = {
+        "real": T,
+        "complex": T + 0.3j,
+        "half-period": T + 1j * pi / 2,
+        "scalar": 0.7,
+        "complex-scalar": 0.7 + 0.2j,
+    }
+    ORDER_RUNS = pytest.mark.parametrize("orders", [(0,), (0, 1), (1, 2), (0, 1, 2)])
+
+    @staticmethod
+    def _assert_runs(got, single, orders):
+        assert isinstance(got, tuple) and len(got) == len(orders)
+        for g, k in zip(got, orders):
+            want = single(k)
+            assert type(g) is type(want) and np.array_equal(g, want), k
+
+    @ORDER_RUNS
+    @pytest.mark.parametrize("kind", sorted(LAMS))
+    def test_kernel_k(self, kind, orders):
+        lam = self.LAMS[kind]
+        for eta in (0.4, 0.3 * pi, 0.3 * pi + pi / 2, pi / 2):  # pi/2: sin 2 eta = 0
+            self._assert_runs(kernel_k(lam, eta, orders), lambda k: kernel_k(lam, eta, k), orders)
+
+    @ORDER_RUNS
+    @pytest.mark.parametrize("kind", sorted(LAMS))
+    def test_kernel_kr(self, kind, orders):
+        lam = self.LAMS[kind]
+        for r, zeta in ((1, 0.3 * pi), (2, 0.3 * pi), (3, 0.3 * pi), (2, pi / 2)):
+            for shift in (0.0, pi / 2):
+                self._assert_runs(kernel_kr(lam, r, zeta, orders, shift),
+                                  lambda k: kernel_kr(lam, r, zeta, k, shift), orders)
+
+    def test_pole_guard_and_orders(self):
+        eta = pi - 1e-13  # poles 1e-13 from the real zero, as in TestRealPoleGuard
+        for lam in (0.0, np.array([-0.5, 0.0, 0.7])):
+            with pytest.raises(PoleProximityError):
+                kernel_k(lam, eta, (0, 1))
+        for orders in ((), (0, 3), (-1, 0)):
+            with pytest.raises(ValidationError):
+                kernel_k(0.3, 0.4, orders)
+
+
 class TestBarePhase:
     def test_zero_at_origin(self):
         for eta in [0.3, pi / 3, 2.1]:

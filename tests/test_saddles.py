@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import xxzchain.saddles as saddles
+from oracles import expected_sign_at_infinity, sign_im_u_at_infinity
 from xxzchain.cli import run
 from xxzchain.dressed import DressedSet, ModelParams, solve_dressed_set
 from xxzchain.quadrature import find_root_bracketed
@@ -18,10 +19,8 @@ from xxzchain.errors import (
 )
 from xxzchain.saddles import (
     classify_structure,
-    expected_sign_at_infinity,
     fermi_velocity,
     find_saddles,
-    sign_im_u_at_infinity,
     u_r,
     v_infinity,
 )
@@ -328,13 +327,13 @@ class TestThresholds:
     def test_sign_change_of_momentum_gives_none(self, monkeypatch):
         ds = solve_dressed_set(ModelParams(J=1.0, zeta=0.4204 * pi, q=0.45, order=32))
         vinf = v_infinity(ds)
-        p_r_d = DressedSet.p_r_d
+        p_eps_d = DressedSet.p_eps_d
 
         def flipped(self, lam, r=1, k=1):
-            p = np.asarray(p_r_d(self, lam, r, k))
-            return np.where(np.abs(np.real(lam)) < 1.0, -p, p) if r == 2 else p
+            p, e = p_eps_d(self, lam, r, k)
+            return (np.where(np.abs(np.real(lam)) < 1.0, -p, p) if r == 2 else p), e
 
-        monkeypatch.setattr(DressedSet, "p_r_d", flipped)
+        monkeypatch.setattr(DressedSet, "p_eps_d", flipped)
         assert saddles._thresholds(ds, 2, vinf) == (None, None)
         assert saddles._line_curves(ds, 2, string_exists(2, ds.zeta).line_im)[3] is None
 
@@ -389,9 +388,9 @@ class TestCarrierLineMemo:
 
     @staticmethod
     def _count_calls(monkeypatch, size):
-        """(method, r) of every p_r_d and eps_r call on `size` points."""
+        """(method, r) of every p_r_d, eps_r and p_eps_d call on `size` points."""
         calls = []
-        for name in ("p_r_d", "eps_r"):
+        for name in ("p_r_d", "eps_r", "p_eps_d"):
             method = getattr(DressedSet, name)
 
             def counted(self, lam, r=1, *k, _name=name, _method=method):
@@ -407,10 +406,7 @@ class TestCarrierLineMemo:
         calls = self._count_calls(monkeypatch, saddles.SCAN_POINTS // 2)
         vinf = v_infinity(ds)
         classify_structure(0.6 * vinf, ds, r_max=2)
-        assert sorted(calls) == sorted(
-            [("p_r_d", 1), ("p_r_d", 1), ("p_r_d", 2),
-             ("eps_r", 1), ("eps_r", 1), ("eps_r", 2)]
-        )
+        assert sorted(calls) == [("p_eps_d", 1), ("p_eps_d", 1), ("p_eps_d", 2)]
         calls.clear()
         classify_structure(0.7 * vinf, ds, r_max=2)
         assert calls == []
@@ -423,7 +419,7 @@ class TestCarrierLineMemo:
         classify_structure(0.7 * vinf, ds, r_max=2)
         want = []
         for r, line_im in self._lines(ds):
-            want += [("p_r_d", r), ("eps_r", r)] * len(saddles._line_curves(ds, r, line_im)[3])
+            want += [("p_eps_d", r)] * len(saddles._line_curves(ds, r, line_im)[3])
         assert want and sorted(calls) == sorted(want)
 
     def test_memo_dies_with_set(self):
