@@ -3,8 +3,12 @@
 The dressed energy eps_1, momentum derivative p_1', charge Z and phases
 phi_r each solve f + int_{-q}^{q} K(. - x|zeta) f(x) dx = g for their own
 driving term g, against one LU-factored Nystrom matrix; `DressedSet` keeps
-only their node values. In h mode, the search for the Fermi endpoint q runs
-before it on the even half of that system, since the dressed energy is even.
+only their node values. In h mode, the Fermi endpoint q comes first, from
+eps(q|q) = 0 (Korepin, Bogoliubov and Izergin 1993, ch. I): `_find_q` takes
+safeguarded Newton steps on log H(Q) = log(c E(Q) / Z(Q)) = log h, where Z and
+E are the unit- and K(.|zeta/2)-driven solutions on [-Q, Q] at Q. Each step
+is one LU of the even half of the system (every driving term is even) with
+two solves; the slope d log H / dQ needs none more.
 
 Every value off the nodes, complex ones included, is the defining equation
 itself: the driving term minus `_conv`, the quadrature of K_r^(k) against
@@ -58,11 +62,11 @@ from .quadrature import (
     DEFAULT_ORDER,
     NystromLU,
     _chebyshev_u,
-    find_root_bracketed,
     gauss_legendre,
 )
 
 EXTENSION_POLE_GUARD = 1e-4
+_Q_MAX = 64.0  # the h-mode search gives up beyond this Fermi endpoint
 CONV_BLOCK_ROWS = 256
 
 
@@ -213,16 +217,25 @@ def _solve_pair(zeta: float, Q: float, order: int):
     return lu, z_vals, e_vals
 
 
-def _endpoint_energy(zeta: float, Q: float, order: int, h: float, c: float) -> float:
-    """eps(Q) of the dressed energy solved on [-Q, Q], driving h - c K(.|zeta/2),
-    from the even half of the Nystrom system: the driving term is even and the
-    rule symmetric, so the node values are even."""
+def _endpoint_parts(zeta: float, Q: float, order: int, h: float, c: float):
+    """(F, Z, E, d log H / dQ) at Q. Z and E are the unit-driving and
+    K(.|zeta/2)-driving solutions on [-Q, Q] at lam = Q, H = c E / Z, and
+    F = h Z - c E = eps(Q|Q), summed from the node values of eps as a solve
+    with the driving term h - c K(.|zeta/2) would be, which keeps its rounding
+    small where the two terms cancel. One even-half Nystrom build and two
+    solves: both driving terms are even and the rule symmetric, so the node
+    values are even."""
     half = gauss_legendre(order, -Q, Q).even_half()
     x, w = half.nodes, half.weights
     lu = NystromLU(lambda l, m: kernel_k(l - m, zeta) + kernel_k(l + m, zeta), half)
-    eps = lu.solve(h - c * kernel_k(x, zeta / 2))
-    krow = kernel_k(Q - x, zeta) + kernel_k(Q + x, zeta)
-    return float(h - c * kernel_k(Q, zeta / 2) - np.sum(w * krow * eps))
+    z_vals = lu.solve(np.ones(x.size))
+    e_vals = lu.solve(kernel_k(x, zeta / 2))
+    k0, k1 = kernel_k(Q + np.stack((-x, x)), zeta, (0, 1))
+    row, drow = w * (k0[0] + k0[1]), w * (k1[0] + k1[1])
+    g0, g1 = kernel_k(Q, zeta / 2, (0, 1))
+    z, e = 1.0 - row @ z_vals, g0 - row @ e_vals
+    F = h - c * g0 - row @ (h * z_vals - c * e_vals)
+    return F, z, e, (g1 - drow @ e_vals) / e + (drow @ z_vals) / z
 
 
 class DressedSet:
@@ -281,25 +294,50 @@ class DressedSet:
 
     @staticmethod
     def _find_q(J, zeta, h, order, c) -> float:
+        """The root of F(Q) = eps(Q|Q) = h Z(Q) - c E(Q) by Newton on
+        log H(Q) = log(c E / Z) = log h, safeguarded by the sign bracket of F.
+
+        F(0+) = h - c K(0|zeta/2) = h - h_c < 0. Every solution f on [-Q, Q]
+        with a Q-independent driving term has d f / dQ = -f(Q) psi, with psi
+        driven by K(. - Q) + K(. + Q): the psi terms cancel, and
+        d log H / dQ = E'/E - Z'/Z needs no third solve. F itself flattens like
+        e^(-2Q) and is not monotone near 0 for zeta > pi/2. A Newton step that
+        leaves the bracket, or H <= 0, bisects it, or doubles Q while no upper
+        end is known. The search stops at a step or bracket of at most
+        1e-14 max(1, Q). A sign change whose |F| stays above the end limit of
+        `DressedSet` is a pole of F, not a root, and raises BracketError.
+        """
         hc = h_critical(J, zeta)
         if h >= hc:
             raise BracketError(f"h={h} >= h_c={hc}: no Fermi endpoint exists")
-
-        def endpoint(Q):
-            return _endpoint_energy(zeta, Q, order, h, c)
-
-        lo = 1e-6
-        f_lo = endpoint(lo)
-        if f_lo >= 0:
-            raise BracketError("endpoint dressed energy not negative at q -> 0")
-        hi = 1.0
-        while (f_hi := endpoint(hi)) < 0:
-            hi *= 2.0
-            if hi > 64.0:
-                raise BracketError(
-                    f"no sign change of eps(Q|Q) up to Q=64 (h={h}, h_c={hc})"
-                )
-        return find_root_bracketed(endpoint, lo, hi, tol=1e-12, fa=f_lo, fb=f_hi)
+        lo, hi, Q = 0.0, None, 1.0
+        while True:
+            F, _, e, slope = _endpoint_parts(zeta, Q, order, h, c)
+            if F < 0:
+                lo = Q
+                if Q >= _Q_MAX:
+                    raise BracketError(
+                        f"no sign change of eps(Q|Q) up to Q={_Q_MAX} (h={h}, h_c={hc})"
+                    )
+            else:
+                hi = Q
+            top = _Q_MAX if hi is None else hi
+            # log(H / h) = -log1p(F / c E), from the F with the smaller rounding
+            ratio = F / (c * e)
+            nxt = Q + math.log1p(ratio) / slope if ratio > -1 and slope else math.nan
+            tol = 1e-14 * max(1.0, Q)
+            if abs(nxt - Q) <= tol:
+                break
+            if not lo < nxt < top:
+                nxt = min(2 * Q, _Q_MAX) if hi is None else 0.5 * (lo + hi)
+            if top - lo <= tol:
+                break
+            Q = nxt
+        if not abs(F) <= 1e-8 * max(h, 1.0):
+            raise BracketError(
+                f"eps(Q|Q) changes sign at Q={Q} with |eps| = {abs(F):.3e}: a pole, not a root"
+            )
+        return nxt
 
     # -- dressed energies and momentum derivatives ---------------------------
 

@@ -1,7 +1,7 @@
 """Numerical backbone: Gauss-Legendre rules, the LU-factored Nystrom matrix
-of a second-kind Fredholm equation, bracketed root finding, complex polyline
-integration, the Barnes G function, and the Chebyshev-U far-field series
-shared by `dressed` and `contours`.
+of a second-kind Fredholm equation, bracketed root finding, the Barnes G
+function, and the Chebyshev-U far-field series shared by `dressed` and
+`contours`.
 
 `NystromLU` solves for node values only. Evaluating a solution off the nodes
 (the Nystrom interpolant f(lam) = g(lam) - sum_j w_j K(lam, x_j) f(x_j)) is
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor
@@ -21,7 +21,6 @@ from scipy.special import roots_legendre
 
 from .errors import (
     BracketError,
-    IntegrationError,
     SolverError,
     ValidationError,
 )
@@ -146,13 +145,9 @@ class NystromLU:
         return f
 
 
-def find_root_bracketed(
-    f: Callable, a: float, b: float, tol: float = 1e-12, fa=None, fb=None
-) -> float:
-    """Brent root of f on [a, b]; requires a sign change. The end values fa
-    and fb are used as given when known; either way f runs once per end."""
-    fa = f(a) if fa is None else fa
-    fb = f(b) if fb is None else fb
+def find_root_bracketed(f: Callable, a: float, b: float, tol: float = 1e-12) -> float:
+    """Brent root of f on [a, b]; requires a sign change. f runs once per end."""
+    fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -188,46 +183,3 @@ def barnes_g(n: int) -> float:
     for k in range(1, n - 1):
         log_acc += math.lgamma(k + 1)
     return math.exp(log_acc)
-
-
-@dataclass(frozen=True)
-class Polyline:
-    """An ordered piecewise-straight path in the complex plane."""
-
-    vertices: tuple
-
-    def __post_init__(self):
-        if len(self.vertices) < 2:
-            raise ValidationError("polyline needs at least 2 vertices")
-        for u, w in zip(self.vertices, self.vertices[1:]):
-            if u == w:
-                raise ValidationError("consecutive vertices must be distinct")
-
-    @staticmethod
-    def of(points: Sequence[complex]) -> "Polyline":
-        return Polyline(tuple(complex(p) for p in points))
-
-    def reversed(self) -> "Polyline":
-        return Polyline(tuple(reversed(self.vertices)))
-
-    def segments(self):
-        return list(zip(self.vertices, self.vertices[1:]))
-
-
-def integrate_segment(f: Callable, a: complex, b: complex, order: int = 32) -> complex:
-    """Gauss-Legendre integral of f along the straight segment [a, b]."""
-    x, w = _legendre_rule(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    pts = mid + half * x
-    vals = np.asarray(f(pts))
-    if not np.all(np.isfinite(vals)):
-        bad = pts[~np.isfinite(vals)][0]
-        raise IntegrationError(f"non-finite integrand sample at {bad}")
-    return half * np.sum(w * vals)
-
-
-def integrate_polyline(f: Callable, path: Polyline, order_per_segment: int = 32) -> complex:
-    """Sum of per-segment Gauss-Legendre integrals along the polyline."""
-    return sum(
-        integrate_segment(f, a, b, order_per_segment) for a, b in path.segments()
-    )

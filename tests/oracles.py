@@ -9,17 +9,22 @@ The tests hold `xxzchain.assembler` and the acceptance criteria to them.
 `sign_im_u_at_infinity` integrates the tail of u_r' for the sign of Im u_r
 far out on a line Im lam = y, and `expected_sign_at_infinity` tabulates that
 sign for the three velocity regimes; the saddle tests hold them together.
+
+`Polyline`, `integrate_segment` and `integrate_polyline` integrate along
+piecewise-straight complex paths by Gauss-Legendre per segment; the kernel
+tests hold the closed-form bare phases to them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from math import pi
+from typing import Callable, Sequence
 
 import numpy as np
 
 from xxzchain.assembler import REAL_TOL, _realize
-from xxzchain.errors import SignInconsistencyError, ValidationError
+from xxzchain.errors import IntegrationError, SignInconsistencyError, ValidationError
 from xxzchain.quadrature import _legendre_rule
 from xxzchain.saddles import u_r, v_infinity
 from xxzchain.strings import string_exists
@@ -185,3 +190,46 @@ def expected_sign_at_infinity(r: int, v: float, y: float, side: int,
     if v > 0:
         return -s if side == 1 else s
     return s if side == 1 else -s
+
+
+@dataclass(frozen=True)
+class Polyline:
+    """An ordered piecewise-straight path in the complex plane."""
+
+    vertices: tuple
+
+    def __post_init__(self):
+        if len(self.vertices) < 2:
+            raise ValidationError("polyline needs at least 2 vertices")
+        for u, w in zip(self.vertices, self.vertices[1:]):
+            if u == w:
+                raise ValidationError("consecutive vertices must be distinct")
+
+    @staticmethod
+    def of(points: Sequence[complex]) -> "Polyline":
+        return Polyline(tuple(complex(p) for p in points))
+
+    def reversed(self) -> "Polyline":
+        return Polyline(tuple(reversed(self.vertices)))
+
+    def segments(self):
+        return list(zip(self.vertices, self.vertices[1:]))
+
+
+def integrate_segment(f: Callable, a: complex, b: complex, order: int = 32) -> complex:
+    """Gauss-Legendre integral of f along the straight segment [a, b]."""
+    x, w = _legendre_rule(order)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    pts = mid + half * x
+    vals = np.asarray(f(pts))
+    if not np.all(np.isfinite(vals)):
+        bad = pts[~np.isfinite(vals)][0]
+        raise IntegrationError(f"non-finite integrand sample at {bad}")
+    return half * np.sum(w * vals)
+
+
+def integrate_polyline(f: Callable, path: Polyline, order_per_segment: int = 32) -> complex:
+    """Sum of per-segment Gauss-Legendre integrals along the polyline."""
+    return sum(
+        integrate_segment(f, a, b, order_per_segment) for a, b in path.segments()
+    )

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from math import pi
 
@@ -7,12 +8,14 @@ import pytest
 from scipy.optimize import brentq
 
 from xxzchain import dressed
+from xxzchain.cli import run
 from xxzchain.dressed import (
     ModelParams,
     h_critical,
     solve_dressed_set,
 )
 from xxzchain.errors import (
+    BracketError,
     PoleProximityError,
     SolverError,
     ValidationError,
@@ -259,7 +262,7 @@ class TestConditionEstimate:
 
 def _full_system_q(zeta, h, order):
     """The h-mode Fermi endpoint by brentq on the full n x n Nystrom system,
-    with the search's bracket and tolerance."""
+    to xtol 1e-15, so that it gives the discrete root itself."""
     c = 4 * pi * math.sin(zeta)
 
     def endpoint(Q):
@@ -270,18 +273,36 @@ def _full_system_q(zeta, h, order):
     hi = 1.0
     while endpoint(hi) < 0:
         hi *= 2.0
-    return brentq(endpoint, 1e-6, hi, xtol=1e-12)
+    return brentq(endpoint, 1e-6, hi, xtol=1e-15)
+
+
+def _trace_builds(monkeypatch):
+    """A list that receives the arguments of every NystromLU build."""
+    builds, build = [], NystromLU.__init__
+
+    def traced_build(self, *args):
+        builds.append(args)
+        build(self, *args)
+
+    monkeypatch.setattr(NystromLU, "__init__", traced_build)
+    return builds
+
+
+def _log_h(zeta, Q, order=128):
+    """log(E / Z) at lam = Q, which is log H(Q) up to the constant log c."""
+    _, z, e, _ = dressed._endpoint_parts(zeta, Q, order, 1.0, 1.0)
+    return math.log(e / z)
 
 
 class TestEvenHalfSearch:
     """The h-mode search for q solves the even half of the Nystrom system:
-    the driving term h - c K(.|zeta/2) is even and the rule symmetric.
+    the driving terms 1 and K(.|zeta/2) are even and the rule symmetric.
 
     It therefore checks the conditioning and residual of the even block only;
     the odd block is still checked by the final full solve at q. At order 2,
-    zeta = 0.8585 pi, h = 0.038 the search succeeds where the full-system
-    search failed its residual check, and `xxz solve` still exits 3 there,
-    from the final full solve."""
+    zeta = 0.8585 pi, h = 0.038 the full-system search fails its residual
+    check, and the even-half F has a pole near Q = 1.45758 and no root near
+    it: the search refuses the pole, and `xxz solve` exits 3."""
 
     @staticmethod
     def _points():
@@ -294,30 +315,47 @@ class TestEvenHalfSearch:
                 yield zeta, h_frac * h_critical(1.0, zeta), order
 
     def test_q_matches_full_system(self):
-        # measured worst over these 35 points: 8.5e-16 relative
+        # measured worst over these 35 points: 7.7e-14 relative, at h = 0.999 h_c
         for zeta, h, order in self._points():
             ds = solve_dressed_set(ModelParams(J=1.0, zeta=zeta, h=h, order=order))
             ref = _full_system_q(zeta, h, order)
             assert abs(ds.q - ref) <= 1e-13 * ref, (zeta / pi, h, order)
 
+    def test_log_h_slope_matches_centred_difference(self):
+        # d log H / dQ = E'/E - Z'/Z; measured worst over these points: 1.1e-9
+        d = 1e-5
+        for zeta_frac, Q in itertools.product((0.3, 0.5365, 0.7123, 0.9), (0.05, 0.4, 1.0, 2.5)):
+            zeta = zeta_frac * pi
+            slope = dressed._endpoint_parts(zeta, Q, 128, 1.0, 1.0)[3]
+            fd = (_log_h(zeta, Q + d) - _log_h(zeta, Q - d)) / (2 * d)
+            assert abs(slope - fd) <= 1e-7 * abs(fd), (zeta_frac, Q)
+
+    def test_builds_per_search(self, monkeypatch):
+        # the benchmark's range at order 128; measured mean 5.2, worst 7
+        builds = _trace_builds(monkeypatch)
+        counts = []
+        for zeta_frac, h_frac in itertools.product(
+                (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9), (0.25, 0.4, 0.55, 0.7, 0.85)):
+            zeta = zeta_frac * pi
+            builds.clear()
+            dressed.DressedSet._find_q(
+                1.0, zeta, h_frac * h_critical(1.0, zeta), 128, 4 * pi * math.sin(zeta))
+            counts.append(len(builds))
+        assert np.mean(counts) <= 6, counts
+
     def test_one_build_per_distinct_q(self, monkeypatch):
         zeta = 0.6 * pi
         h = 0.4 * h_critical(1.0, zeta)
         c = 4 * pi * math.sin(zeta)
-        qs, builds = [], []
-        endpoint_energy = dressed._endpoint_energy
-        build = NystromLU.__init__
+        qs = []
+        endpoint_parts = dressed._endpoint_parts
 
         def traced_endpoint(zeta, Q, *args):
             qs.append(Q)
-            return endpoint_energy(zeta, Q, *args)
+            return endpoint_parts(zeta, Q, *args)
 
-        def traced_build(self, *args):
-            builds.append(args)
-            build(self, *args)
-
-        monkeypatch.setattr(dressed, "_endpoint_energy", traced_endpoint)
-        monkeypatch.setattr(NystromLU, "__init__", traced_build)
+        monkeypatch.setattr(dressed, "_endpoint_parts", traced_endpoint)
+        builds = _trace_builds(monkeypatch)
         dressed.DressedSet._find_q(1.0, zeta, h, 128, c)
         assert len(builds) == len(qs) == len(set(qs))
 
@@ -325,20 +363,21 @@ class TestEvenHalfSearch:
         # K = -1/(2Q): the half rule's weights sum to Q, so (I + 2 K W_half) 1 = 0
         Q = 0.7
         monkeypatch.setattr(
-            dressed, "kernel_k", lambda lam, eta: np.full(np.shape(lam), -1 / (2 * Q))
+            dressed, "kernel_k", lambda lam, eta, k=0: np.full(np.shape(lam), -1 / (2 * Q))
         )
         for order in (32, 33):
             with pytest.raises(SolverError, match="ill-conditioned"):
-                dressed._endpoint_energy(0.4 * pi, Q, order, 1.0, 1.0)
+                dressed._endpoint_parts(0.4 * pi, Q, order, 1.0, 1.0)
 
-    def test_search_passes_where_full_system_residual_fails(self):
+    def test_search_passes_where_full_system_residual_fails(self, capsys):
         zeta, h = 0.8585 * pi, 0.038
         with pytest.raises(SolverError, match="residual"):
             _full_system_q(zeta, h, 2)
         c = 4 * pi * math.sin(zeta)
-        q = dressed.DressedSet._find_q(1.0, zeta, h, 2, c)
-        with pytest.raises(SolverError, match="residual"):
-            dressed._solve_pair(zeta, q, 2)
+        with pytest.raises(BracketError, match="a pole, not a root"):
+            dressed.DressedSet._find_q(1.0, zeta, h, 2, c)
+        assert run(["solve", "--zeta", "0.8585pi", "--h", "0.038", "--order", "2"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "bracket-failure"
 
 
 class TestSelfConsistency:

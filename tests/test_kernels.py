@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import Polyline, integrate_polyline
 from xxzchain.errors import ContourError, PoleProximityError, ValidationError
 from xxzchain.kernels import (
     PHASE_POLE_DIST,
@@ -22,7 +23,6 @@ from xxzchain.kernels import (
     string_combinatorics,
     w_hat,
 )
-from xxzchain.quadrature import Polyline, integrate_polyline
 
 RNG = np.random.default_rng(20240817)
 

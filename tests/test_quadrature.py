@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
+from oracles import Polyline, integrate_polyline
 from xxzchain.errors import BracketError, SolverError, ValidationError
 from xxzchain.quadrature import (
     NystromLU,
-    Polyline,
     _legendre_rule,
     barnes_g,
     find_root_bracketed,
     gauss_legendre,
-    integrate_polyline,
 )
 
 
@@ -191,16 +190,6 @@ class TestRootBracketed:
         root = find_root_bracketed(f, 0.0, 1.0, tol=1e-12)
         assert len(calls) == len(set(calls))
         assert root == brentq(lambda x: x**3 - 0.2, 0.0, 1.0, xtol=1e-12)
-
-    def test_known_end_values_are_not_recomputed(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return x - 1
-
-        find_root_bracketed(f, 0.0, 3.0, fa=-1.0, fb=2.0)
-        assert 0.0 not in calls and 3.0 not in calls
 
 
 class TestBarnesG:
