@@ -276,13 +276,11 @@ def _realize(val: complex, label: str) -> float:
 
 
 def _fermi_phases(ds, r: int, mu: complex) -> dict:
-    """{upsilon: phi_r(upsilon q, mu)} for upsilon = +-1, checked real."""
+    """{upsilon: phi_r(upsilon q, mu)} for upsilon = +-1, checked real, from
+    one `DressedSet.boundary_phases` call."""
     return {
-        upsilon: _realize(
-            complex(ds.phi(r, upsilon * ds.q, mu)),
-            f"dressed phase phi_{r} at the Fermi boundary",
-        )
-        for upsilon in (1, -1)
+        upsilon: _realize(complex(val), f"dressed phase phi_{r} at the Fermi boundary")
+        for upsilon, val in zip((1, -1), ds.boundary_phases(r, mu))
     }
 
 

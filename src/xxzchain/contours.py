@@ -159,26 +159,6 @@ def shifted_poles(J: TestFunctionJ, shifts) -> list[complex]:
 # assembled integrands and residue reductions
 
 
-def phi11(x, zeta: float):
-    """Elementary two-particle factor sinh(x) / sinh(x - i*zeta).
-
-    Vectorized over x; raises PoleProximityError if any argument comes
-    within 1e-8 of a pole (x = i*zeta mod i*pi).
-    """
-    x = np.asarray(x, dtype=complex)
-    shifted = x - 1j * zeta
-    # distance of shifted from the lattice i*pi*Z
-    im = np.mod(shifted.imag + pi / 2, pi) - pi / 2
-    dist = np.abs(shifted.real + 1j * im)
-    if np.any(dist < 1e-8):
-        bad = np.asarray(x).ravel()[np.argmin(np.atleast_1d(dist))]
-        raise PoleProximityError(f"phi11 evaluated within 1e-8 of a pole at x={bad}")
-    out = np.sinh(x) / np.sinh(shifted)
-    if out.ndim == 0:
-        return complex(out)
-    return out
-
-
 def _pair_ratio(X, a: float, b: float):
     """Pair weight 1 + (a - b) / (X + 1/X + b - 2) at X = exp(2x).
 

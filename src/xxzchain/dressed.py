@@ -2,21 +2,25 @@
 
 The dressed energy eps_1, momentum derivative p_1', charge Z and phases
 phi_r each solve f + int_{-q}^{q} K(. - x|zeta) f(x) dx = g for their own
-driving term g, against one LU-factored Nystrom matrix; `DressedSet` keeps
-only their node values. In h mode, the Fermi endpoint q comes first, from
-eps(q|q) = 0 (Korepin, Bogoliubov and Izergin 1993, ch. I): `_find_q` takes
-safeguarded Newton steps on log H(Q) = log(c E(Q) / Z(Q)) = log h, where Z and
-E are the unit- and K(.|zeta/2)-driven solutions on [-Q, Q] at Q. Each step
-is one LU of the even half of the system (every driving term is even) with
-two solves; the slope d log H / dQ needs none more.
+driving term g, against one LU-factored Nystrom matrix A = I + K W;
+`DressedSet` keeps the node values of the first three. In h mode, the Fermi
+endpoint q comes first, from eps(q|q) = 0 (Korepin, Bogoliubov and Izergin
+1993, ch. I): `_find_q` takes safeguarded Newton steps on log H(Q) =
+log(c E(Q) / Z(Q)) = log h, where Z and E are the unit- and K(.|zeta/2)-driven
+solutions on [-Q, Q] at Q. Each step is one LU of the even half of the system
+(every driving term is even) with two solves; the slope d log H / dQ needs
+none more.
 
 Every value off the nodes, complex ones included, is the defining equation
 itself: the driving term minus `_conv`, the quadrature of K_r^(k) against
 node values (the Nystrom interpolant; Atkinson 1997, ch. 4). `eps_r` and
 `p_r_d` give the k-th lam-derivative of eps_r and p_r for every string
-length r this way, `Z` and `phi` the r = 1, k = 0 case. `p_eps_d` gives
+length r this way, `Z` the r = 1, k = 0 case. `p_eps_d` gives
 p_r^(k) and eps_r^(k) from one pass over kernel orders k - 1 and k, which
 shares the pole guard, cosh, sinh, far-field tables and kernel blocks.
+The phases phi_r(., mu) are needed only at the Fermi boundaries:
+`boundary_phases` reads them there from two adjoint node vectors, solved once
+per set, and no node values of phi_r.
 
 Every carrier line lies at Im lam = 0 or pi/2, where `_conv` runs in real
 arithmetic: K is i pi periodic and K(t + i pi/2|eta) = K(t|eta + pi/2), so
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import cos, pi, sin
 
 import numpy as np
@@ -275,7 +280,6 @@ class DressedSet:
         self.eps1 = h * z_vals - c * e_vals
         self.p1prime = 2 * pi * e_vals
 
-        self._phase_cache: dict = {}
         self._line_cache: dict = {}  # saddles: v-independent carrier-line curves
         self.p_F = self._compute_p1(q)
 
@@ -445,42 +449,25 @@ class DressedSet:
                 corr -= 2 * self.p_F * math.copysign(1.0, 1 - (2 / pi) * what)
         return lead - conv + corr
 
-    # -- dressed phase and charge -------------------------------------------
+    # -- boundary phases and charge ------------------------------------------
 
-    def dressed_phase(self, r: int, mu: complex) -> np.ndarray:
-        """Node values of phi_r(., mu) on [-q, q], solved once per (r, mu) and
-        read-only."""
-        key = (r, round(complex(mu).real, 12), round(complex(mu).imag, 12))
-        values = self._phase_cache.get(key)
-        if values is not None:
-            return values
-        mu = complex(mu)
-        x = self.quad.nodes - (mu.real if abs(mu.imag) < 1e-14 else mu)
-        driving_vals = self._phase_driving(r, x)
+    @cached_property
+    def _boundary_adjoint(self) -> np.ndarray:
+        """Rows y_+ and y_- of A^T y_+- = W k_+-, k_+- = K(+-q - x_j|zeta): one
+        transposed solve with two columns, on first use."""
+        ends = np.array([[self.q], [-self.q]])
+        k = kernel_k(ends - self.quad.nodes, self.zeta)
+        return self.lu.solve((self.quad.weights * k).T, transpose=True).T
 
-        if np.iscomplexobj(driving_vals) and np.max(np.abs(driving_vals.imag)) > 0:
-            values = self.lu.solve(driving_vals.real) + 1j * self.lu.solve(
-                driving_vals.imag
-            )
-        else:
-            values = self.lu.solve(driving_vals.real)
-
-        values.flags.writeable = False  # shared by every later call
-        self._phase_cache[key] = values
-        return values
-
-    def phi(self, r: int, lam, mu):
-        """phi_r(lam, mu): the bare-phase driving minus `_conv` of the node values."""
-        values = self.dressed_phase(r, mu)
-        z = np.asarray(lam, dtype=complex) - mu
-        # flat, so that bare_phase returns an array for a scalar lam too
-        driving = self._phase_driving(r, z.reshape(-1)).reshape(z.shape)
-        return driving - _conv(self.quad, self.zeta, lam, values)
-
-    def _phase_driving(self, r: int, z):
-        """theta_r(z) / 2 pi + m_r / 2, the driving term of phi_r at z = lam - mu."""
-        sc = string_combinatorics(r, self.zeta)
-        return bare_phase(z, r, self.zeta) / (2 * pi) + sc.m_r / 2
+    def boundary_phases(self, r: int, mu) -> tuple:
+        """(phi_r(q, mu), phi_r(-q, mu)), each g(+-q) - y_+-^T g(x) for the
+        driving term g = theta_r(. - mu) / 2 pi + m_r / 2 and the nodes x. The
+        node values f = A^-1 g(x) enter phi_r(+-q) = g(+-q) - k_+-^T W f only
+        through this linear functional, so its adjoint y_+- stands in for f
+        (Giles and Suli, Acta Numer. 11 (2002) 145)."""
+        x = np.concatenate(([self.q, -self.q], self.quad.nodes)) - complex(mu)
+        g = bare_phase(x, r, self.zeta) / (2 * pi) + string_combinatorics(r, self.zeta).m_r / 2
+        return tuple(g[:2] - self._boundary_adjoint @ g[2:])
 
     def Z(self, lam):
         """Dressed charge Z(lam): driving 1 minus `_conv` of its node values;

@@ -113,7 +113,9 @@ class NystromLU:
     estimate of LAPACK gecon on the LU (Higham, ACM TOMS 14 (1988) 381) must be
     finite and at most 1e12, and `solve`, refined once, must leave a residual
     of at most 1e-10 * max(1, max|g|), which a non-finite g or solution never
-    meets; otherwise SolverError is raised."""
+    meets; otherwise SolverError is raised. `solve(g, transpose=True)` solves
+    A^T f = g on the same LU (getrs trans=1) under the same contract, its
+    refinement step and residual both taken on A^T."""
 
     def __init__(self, kernel: Callable, quad: Quadrature | EvenHalf):
         self.quad = quad
@@ -130,16 +132,17 @@ class NystromLU:
         if self.cond > 1e12:
             raise SolverError(f"Nystrom matrix ill-conditioned: cond ~ {self.cond:.3e}")
 
-    def _lu_solve(self, b: np.ndarray) -> np.ndarray:
-        x, info = self._getrs(*self.lu, b)
+    def _lu_solve(self, b: np.ndarray, trans: int) -> np.ndarray:
+        x, info = self._getrs(*self.lu, b, trans=trans)
         if info != 0:
             raise SolverError(f"LAPACK getrs rejected argument {-info}")
         return x
 
-    def solve(self, g: np.ndarray) -> np.ndarray:
-        f = self._lu_solve(g)
-        f = f + self._lu_solve(g - self.a_mat @ f)
-        resid = np.max(np.abs(self.a_mat @ f - g))
+    def solve(self, g: np.ndarray, transpose: bool = False) -> np.ndarray:
+        a_mat, trans = (self.a_mat.T, 1) if transpose else (self.a_mat, 0)
+        f = self._lu_solve(g, trans)
+        f = f + self._lu_solve(g - a_mat @ f, trans)
+        resid = np.max(np.abs(a_mat @ f - g))
         if not resid <= 1e-10 * max(1.0, np.max(np.abs(g))):
             raise SolverError(f"Nystrom residual {resid:.3e} exceeds 1e-10 * max(1, max|g|)")
         return f

@@ -7,7 +7,6 @@ implemented independently so their empirical equivalence can be checked.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from math import floor, pi, sin
 
@@ -154,100 +153,3 @@ def catalog(zeta: float, r_max: int, ds=None) -> list[StringSpec]:
             )
         out.append(spec)
     return out
-
-
-def check_condition_equivalence(zeta: float, r: int) -> bool:
-    """Empirically compare the two condition families at zeta < pi/2."""
-    if not (0 < zeta < pi / 2):
-        raise ValidationError("equivalence check is defined for zeta in (0, pi/2)")
-    ex_low, sig_low = _exists_low(r, zeta)
-    ex_tak, sig_tak = _exists_takahashi(r, zeta)
-    if ex_low != ex_tak:
-        return False
-    if ex_low and sig_low != sig_tak:
-        return False
-    return True
-
-
-def _sgn_sin(k: int, zeta: float) -> int:
-    return 1 if sin(k * zeta) > 0 else -1
-
-
-# reference classification intervals for r = 2..8: (lo, hi, sigma, sign_factor)
-# with expected sgn p'_r = sign_factor * sgn[sin(r zeta)]
-REFERENCE_TABLE: dict[int, list[tuple[float, float, int, int]]] = {
-    2: [(0, pi / 2, 0, 1), (pi / 2, pi, 0, 1)],
-    3: [
-        (0, pi / 3, 0, 1),
-        (pi / 3, pi / 2, 0, 1),
-        (pi / 2, 2 * pi / 3, 1, -1),
-        (2 * pi / 3, pi, 1, -1),
-    ],
-    4: [(0, pi / 3, 0, 1), (2 * pi / 3, pi, 0, 1)],
-    5: [
-        (0, pi / 4, 0, 1),
-        (pi / 3, pi / 2, 1, -1),
-        (pi / 2, 2 * pi / 3, 0, 1),
-        (3 * pi / 4, pi, 1, -1),
-    ],
-    6: [(0, pi / 5, 0, 1), (4 * pi / 5, pi, 0, 1)],
-    7: [
-        (0, pi / 6, 0, 1),
-        (pi / 4, pi / 3, 1, -1),
-        (2 * pi / 5, pi / 2, 0, 1),
-        (pi / 2, 3 * pi / 5, 1, -1),
-        (2 * pi / 3, 3 * pi / 4, 0, 1),
-        (5 * pi / 6, pi, 1, -1),
-    ],
-    8: [
-        (0, pi / 7, 0, 1),
-        (pi / 3, 2 * pi / 5, 0, 1),
-        (3 * pi / 5, 2 * pi / 3, 0, 1),
-        (6 * pi / 7, pi, 0, 1),
-    ],
-}
-
-
-def reference_lookup(r: int, zeta: float):
-    """(exists, sigma, sgn p'_r) from the built-in classification intervals.
-
-    Returns (False, None, None) when zeta falls in no listed interval.
-    Only r = 2..8 are tabulated.
-    """
-    rows = REFERENCE_TABLE.get(r)
-    if rows is None:
-        return None
-    for lo, hi, sigma, factor in rows:
-        if lo < zeta < hi:
-            return True, sigma, factor * _sgn_sin(r, zeta)
-    return False, None, None
-
-
-def reference_diff(zeta: float, r_max: int, ds=None) -> list[dict]:
-    """Side-by-side comparison of computed catalog vs the built-in table."""
-    rows = []
-    for spec in catalog(zeta, min(r_max, 8), ds=ds):
-        if spec.r == 1:
-            continue
-        ref = reference_lookup(spec.r, zeta)
-        ref_exists, ref_sigma, ref_sgn = ref
-        agree = spec.exists == ref_exists and (
-            not spec.exists
-            or (
-                spec.sigma_r == ref_sigma
-                and (spec.sgn_p_prime is None or spec.sgn_p_prime == ref_sgn)
-            )
-        )
-        rows.append(
-            {
-                "r": spec.r,
-                "exists": spec.exists,
-                "sigma": spec.sigma_r,
-                "sgn_p_prime": spec.sgn_p_prime,
-                "ref_exists": ref_exists,
-                "ref_sigma": ref_sigma,
-                "ref_sgn_p_prime": ref_sgn,
-                "agree": agree,
-            }
-        )
-    return rows

@@ -13,21 +13,38 @@ sign for the three velocity regimes; the saddle tests hold them together.
 `Polyline`, `integrate_segment` and `integrate_polyline` integrate along
 piecewise-straight complex paths by Gauss-Legendre per segment; the kernel
 tests hold the closed-form bare phases to them.
+
+`phi` is the dressed phase phi_r(lam, mu) at any lam by the node route: its
+node values from the Nystrom solve, then the interpolant. The dressed tests
+hold `DressedSet.boundary_phases`, the adjoint route at lam = +-q, to it.
+
+`REFERENCE_TABLE`, `reference_lookup` and `reference_diff` tabulate the
+r-string classification intervals for r = 2..8 and compare a `catalog` with
+them; `check_condition_equivalence` compares the two condition families of
+`xxzchain.strings` below pi/2. `phi11` is the two-particle factor
+sinh(x) / sinh(x - i zeta) of the contour identities.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import pi
+from math import pi, sin
 from typing import Callable, Sequence
 
 import numpy as np
 
 from xxzchain.assembler import REAL_TOL, _realize
-from xxzchain.errors import IntegrationError, SignInconsistencyError, ValidationError
+from xxzchain.dressed import _conv
+from xxzchain.errors import (
+    IntegrationError,
+    PoleProximityError,
+    SignInconsistencyError,
+    ValidationError,
+)
+from xxzchain.kernels import bare_phase, string_combinatorics
 from xxzchain.quadrature import _legendre_rule
 from xxzchain.saddles import u_r, v_infinity
-from xxzchain.strings import string_exists
+from xxzchain.strings import _exists_low, _exists_takahashi, catalog, string_exists
 
 ASYMPTOTIC_PROBE_X = 12.0
 
@@ -110,6 +127,23 @@ def excitation_energy_momentum(Y: RapiditySet, v: float, ds):
     return E_out, P_out, complex(U)
 
 
+def phi(ds, r: int, lam, mu):
+    """phi_r(lam, mu) by the node route: the node values of phi_r(., mu) solve
+    A f = g for the driving term g = theta_r(. - mu) / 2 pi + m_r / 2, its real
+    and imaginary parts apart; then g(lam) minus `_conv` of them."""
+    mu = complex(mu)
+    m_r = string_combinatorics(r, ds.zeta).m_r
+
+    def driving(z):
+        z = np.asarray(z, dtype=complex)
+        # flat, so that bare_phase returns an array for a scalar z too
+        return (bare_phase(z.reshape(-1), r, ds.zeta) / (2 * pi) + m_r / 2).reshape(z.shape)
+
+    g = driving(ds.quad.nodes - mu)
+    values = ds.lu.solve(g.real) + 1j * ds.lu.solve(g.imag)
+    return driving(np.asarray(lam) - mu) - _conv(ds.quad, ds.zeta, lam, values)
+
+
 def shift_exponent(omega, Y: RapiditySet, ds) -> float:
     """theta(omega | Y): the boundary exponent kernel of the state Y.
 
@@ -120,16 +154,16 @@ def shift_exponent(omega, Y: RapiditySet, ds) -> float:
     _check_domains(Y, ds)
     val = 0.0 + 0.0j
     for mu in Y.holes:
-        val += ds.phi(1, omega, mu)
+        val += phi(ds, 1, omega, mu)
     val += 0.5 * Y.s_gamma * complex(ds.Z(omega))
     for nu in Y.particles:
-        val -= ds.phi(1, omega, nu)
+        val -= phi(ds, 1, omega, nu)
     for r, vals in Y.string_items():
         for nu in vals:
-            val -= ds.phi(r, omega, nu)
+            val -= phi(ds, r, omega, nu)
     for upsilon, ell in ((1, Y.ell_plus), (-1, Y.ell_minus)):
         if ell:
-            val -= ell * ds.phi(1, omega, upsilon * ds.q)
+            val -= ell * phi(ds, 1, omega, upsilon * ds.q)
     if abs(complex(omega).imag) < REAL_TOL:
         return _realize(val, "shift exponent at real omega")
     return complex(val)
@@ -233,3 +267,120 @@ def integrate_polyline(f: Callable, path: Polyline, order_per_segment: int = 32)
     return sum(
         integrate_segment(f, a, b, order_per_segment) for a, b in path.segments()
     )
+
+
+def check_condition_equivalence(zeta: float, r: int) -> bool:
+    """Empirically compare the two condition families at zeta < pi/2."""
+    if not (0 < zeta < pi / 2):
+        raise ValidationError("equivalence check is defined for zeta in (0, pi/2)")
+    ex_low, sig_low = _exists_low(r, zeta)
+    ex_tak, sig_tak = _exists_takahashi(r, zeta)
+    if ex_low != ex_tak:
+        return False
+    if ex_low and sig_low != sig_tak:
+        return False
+    return True
+
+
+def _sgn_sin(k: int, zeta: float) -> int:
+    return 1 if sin(k * zeta) > 0 else -1
+
+
+# reference classification intervals for r = 2..8: (lo, hi, sigma, sign_factor)
+# with expected sgn p'_r = sign_factor * sgn[sin(r zeta)]
+REFERENCE_TABLE: dict[int, list[tuple[float, float, int, int]]] = {
+    2: [(0, pi / 2, 0, 1), (pi / 2, pi, 0, 1)],
+    3: [
+        (0, pi / 3, 0, 1),
+        (pi / 3, pi / 2, 0, 1),
+        (pi / 2, 2 * pi / 3, 1, -1),
+        (2 * pi / 3, pi, 1, -1),
+    ],
+    4: [(0, pi / 3, 0, 1), (2 * pi / 3, pi, 0, 1)],
+    5: [
+        (0, pi / 4, 0, 1),
+        (pi / 3, pi / 2, 1, -1),
+        (pi / 2, 2 * pi / 3, 0, 1),
+        (3 * pi / 4, pi, 1, -1),
+    ],
+    6: [(0, pi / 5, 0, 1), (4 * pi / 5, pi, 0, 1)],
+    7: [
+        (0, pi / 6, 0, 1),
+        (pi / 4, pi / 3, 1, -1),
+        (2 * pi / 5, pi / 2, 0, 1),
+        (pi / 2, 3 * pi / 5, 1, -1),
+        (2 * pi / 3, 3 * pi / 4, 0, 1),
+        (5 * pi / 6, pi, 1, -1),
+    ],
+    8: [
+        (0, pi / 7, 0, 1),
+        (pi / 3, 2 * pi / 5, 0, 1),
+        (3 * pi / 5, 2 * pi / 3, 0, 1),
+        (6 * pi / 7, pi, 0, 1),
+    ],
+}
+
+
+def reference_lookup(r: int, zeta: float):
+    """(exists, sigma, sgn p'_r) from the built-in classification intervals.
+
+    Returns (False, None, None) when zeta falls in no listed interval.
+    Only r = 2..8 are tabulated.
+    """
+    rows = REFERENCE_TABLE.get(r)
+    if rows is None:
+        return None
+    for lo, hi, sigma, factor in rows:
+        if lo < zeta < hi:
+            return True, sigma, factor * _sgn_sin(r, zeta)
+    return False, None, None
+
+
+def reference_diff(zeta: float, r_max: int, ds=None) -> list[dict]:
+    """Side-by-side comparison of computed catalog vs the built-in table."""
+    rows = []
+    for spec in catalog(zeta, min(r_max, 8), ds=ds):
+        if spec.r == 1:
+            continue
+        ref = reference_lookup(spec.r, zeta)
+        ref_exists, ref_sigma, ref_sgn = ref
+        agree = spec.exists == ref_exists and (
+            not spec.exists
+            or (
+                spec.sigma_r == ref_sigma
+                and (spec.sgn_p_prime is None or spec.sgn_p_prime == ref_sgn)
+            )
+        )
+        rows.append(
+            {
+                "r": spec.r,
+                "exists": spec.exists,
+                "sigma": spec.sigma_r,
+                "sgn_p_prime": spec.sgn_p_prime,
+                "ref_exists": ref_exists,
+                "ref_sigma": ref_sigma,
+                "ref_sgn_p_prime": ref_sgn,
+                "agree": agree,
+            }
+        )
+    return rows
+
+
+def phi11(x, zeta: float):
+    """Elementary two-particle factor sinh(x) / sinh(x - i*zeta).
+
+    Vectorized over x; raises PoleProximityError if any argument comes
+    within 1e-8 of a pole (x = i*zeta mod i*pi).
+    """
+    x = np.asarray(x, dtype=complex)
+    shifted = x - 1j * zeta
+    # distance of shifted from the lattice i*pi*Z
+    im = np.mod(shifted.imag + pi / 2, pi) - pi / 2
+    dist = np.abs(shifted.real + 1j * im)
+    if np.any(dist < 1e-8):
+        bad = np.asarray(x).ravel()[np.argmin(np.atleast_1d(dist))]
+        raise PoleProximityError(f"phi11 evaluated within 1e-8 of a pole at x={bad}")
+    out = np.sinh(x) / np.sinh(shifted)
+    if out.ndim == 0:
+        return complex(out)
+    return out

@@ -13,16 +13,21 @@ from math import pi
 import numpy as np
 import pytest
 
-from oracles import conformal_exponent, conformal_rapidity_set, theta_upsilon
+from oracles import (
+    REFERENCE_TABLE,
+    conformal_exponent,
+    conformal_rapidity_set,
+    phi,
+    reference_diff,
+    theta_upsilon,
+)
 from xxzchain.contours import (
     eval_identity_n2,
-    eval_identity_n3,
     standard_test_functions,
     verify_multiple_integrals,
 )
 from xxzchain.dressed import ModelParams, solve_dressed_set
 from xxzchain.saddles import classify_structure, fermi_velocity, find_saddles, v_infinity
-from xxzchain.strings import REFERENCE_TABLE, reference_diff
 
 FIGURE_SETS = [
     (0.5365 * pi, 0.2, 0.1801),
@@ -83,10 +88,13 @@ class TestAcceptance:
         for ds in sets.values():
             lam = ds.quad.nodes
             lhs = np.asarray(ds.Z(lam), dtype=float)
-            rhs = (np.real(ds.phi(1, lam, ds.q))
-                   - np.real(ds.phi(1, lam, -ds.q)) + 1.0)
+            rhs = (np.real(phi(ds, 1, lam, ds.q))
+                   - np.real(phi(ds, 1, lam, -ds.q)) + 1.0)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-            edge = 1.0 + np.real(ds.phi(1, ds.q, ds.q)) - np.real(ds.phi(1, -ds.q, ds.q))
+            edge = 1.0 + np.real(phi(ds, 1, ds.q, ds.q)) - np.real(phi(ds, 1, -ds.q, ds.q))
+            worst = max(worst, abs(float(edge) - 1.0 / float(ds.Z(ds.q))))
+            at_q, at_minus_q = ds.boundary_phases(1, ds.q)
+            edge = 1.0 + np.real(at_q) - np.real(at_minus_q)
             worst = max(worst, abs(float(edge) - 1.0 / float(ds.Z(ds.q))))
         _report(3, worst < 1e-8, f"max deviation {worst:.3e}")
 
@@ -130,14 +138,12 @@ class TestAcceptance:
                 f"max rel_diff {worst:.3e} over 18 configs, {dt:.1f}s")
 
     @pytest.mark.slow
-    def test_criterion_6_contour_identity_n3(self):
-        t0 = time.perf_counter()
-        J = standard_test_functions(3)[0]
+    def test_criterion_6_contour_identity_n3(self, n3_correction_absent):
+        reports, dt = n3_correction_absent
         worst = 0.0
         for v in (1.5, 0.5):
-            rep = eval_identity_n3(J, v, 0.35 * pi)
+            rep = reports[v]
             worst = max(worst, rep["rel_diff"])
-        dt = time.perf_counter() - t0
         _report("6-slow", worst < 1e-4 and dt < 1800.0,
                 f"max rel_diff {worst:.3e} over 2 configs, {dt:.1f}s")
 

@@ -18,6 +18,8 @@ from oracles import (
 from xxzchain.assembler import (
     AsymptoticTerm,
     _count_vectors,
+    _kappa,
+    _occupied,
     assemble_terms,
     enumerate_configs,
     make_config,
@@ -346,7 +348,7 @@ class TestSaddleMemo:
     def test_one_evaluation_per_distinct_input(self, monkeypatch):
         ds = solve_dressed_set(ModelParams(**self.POINT))
         structure, configs = self._table(ds)
-        calls = {name: collections.Counter() for name in ("phi", "p_r_d", "p_r")}
+        calls = {name: collections.Counter() for name in ("boundary_phases", "p_r_d", "p_r")}
 
         def counting(name, key):
             original = getattr(DressedSet, name)
@@ -357,15 +359,19 @@ class TestSaddleMemo:
 
             monkeypatch.setattr(DressedSet, name, wrapper)
 
-        counting("phi", lambda r, lam, mu: (r, lam, complex(mu)))
+        counting("boundary_phases", lambda r, mu: (r, complex(mu)))
         counting("p_r_d", lambda lam, r: (r, complex(lam)))
         counting("p_r", lambda lam, r: (r, complex(lam)))
         assemble_terms(configs, self.V, ds, structure)
-        assert calls["phi"] and set(calls["phi"].values()) == {1}, calls["phi"]
+        phases = calls["boundary_phases"]
+        assert phases and set(phases.values()) == {1}, phases
         # u_r(omega, v) and p_r'(omega) are read from the saddle points
         assert not calls["p_r"] and not calls["p_r_d"]
-        # phi at both Fermi boundaries for every saddle and for +-q
-        assert {lam for _, lam, _ in calls["phi"]} == {ds.q, -ds.q}
+        # phi_r(+-q, mu) for every occupied saddle and phi_1(+-q, +-q)
+        kappa = _kappa(self.V, structure.v_F)
+        occupied = {(max(sad.r, 1), complex(sad.omega))
+                    for cfg in configs for sad, _ in _occupied(cfg, kappa, structure)}
+        assert set(phases) == occupied | {(1, complex(ds.q)), (1, complex(-ds.q))}
 
     def test_failure_is_not_memoized(self, ff):
         # zeta = pi/2: the r = 1 saddle on Im = pi/2 sits at hat-reduction

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import phi11
 import xxzchain.contours as contours
 from xxzchain.contours import (
     ContourSpec,
@@ -27,7 +28,6 @@ from xxzchain.contours import (
     correction_active,
     eval_identity_n2,
     eval_identity_n3,
-    phi11,
     reduce_residue,
     standard_test_functions,
     tau_parameters,
@@ -513,8 +513,8 @@ class TestIdentityN2:
 @pytest.mark.slow
 class TestIdentityN3:
     @pytest.mark.parametrize("v", [1.5, 0.5])
-    def test_correction_absent(self, v):
-        rep = eval_identity_n3(TestFunctionJ(3, (2.0 + 1.5j,)), v, 0.35 * pi)
+    def test_correction_absent(self, v, n3_correction_absent):
+        rep = n3_correction_absent[0][v]
         assert rep["rel_diff"] < 1e-4, rep
         assert not rep["correction_active"]
         _assert_reference(rep, f"n3_correction_absent_v{v}")

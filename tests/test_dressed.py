@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from oracles import phi
 from xxzchain import dressed
 from xxzchain.cli import run
 from xxzchain.dressed import (
@@ -20,7 +21,7 @@ from xxzchain.errors import (
     SolverError,
     ValidationError,
 )
-from xxzchain.kernels import kernel_k, kernel_kr
+from xxzchain.kernels import bare_phase, kernel_k, kernel_kr, string_combinatorics
 from xxzchain.quadrature import _FAR_GAP, _FAR_TERMS, NystromLU, gauss_legendre
 
 # closed-form benchmark: zeta = pi/2, J = 1, h = 2
@@ -144,7 +145,7 @@ class TestIdentities:
         ds = sets[key]
         q = ds.q
         for lam in [-0.7 * q, 0.0, 0.4 * q, q]:
-            lhs = ds.phi(1, lam, q) - ds.phi(1, lam, -q) + 1.0
+            lhs = phi(ds, 1, lam, q) - phi(ds, 1, lam, -q) + 1.0
             rhs = ds.Z(lam)
             assert abs(lhs - rhs) < 1e-8
 
@@ -152,9 +153,11 @@ class TestIdentities:
     def test_endpoint_phase_inverse_charge(self, sets, key):
         ds = sets[key]
         q = ds.q
-        lhs = 1.0 + ds.phi(1, q, q) - ds.phi(1, -q, q)
         rhs = 1.0 / ds.Z(q)
+        lhs = 1.0 + phi(ds, 1, q, q) - phi(ds, 1, -q, q)
         assert abs(lhs - rhs) < 1e-8
+        at_q, at_minus_q = ds.boundary_phases(1, q)
+        assert abs(1.0 + at_q - at_minus_q - rhs) < 1e-8
 
 
 class TestFieldEndpointDuality:
@@ -465,12 +468,8 @@ class TestSignPatterns:
 
     def test_free_fermion_phase_closed_form(self, ff):
         # vanishing kernel: phi_r is the bare driving itself
-        from xxzchain.kernels import string_combinatorics
-
         sc = string_combinatorics(2, pi / 2)
-        got = ff.phi(2, 0.3, 0.1)
-        from xxzchain.kernels import bare_phase
-
+        got = phi(ff, 2, 0.3, 0.1)
         expected = bare_phase(0.2, 2, pi / 2) / (2 * pi) + sc.m_r / 2
         assert abs(got - expected) < 1e-12
 
@@ -726,9 +725,45 @@ class TestFarField:
                 assert err <= 2e-15 * scale, (im, r, k, t[i])
 
 
-class TestPhaseCaching:
-    def test_in_memory_cache_identity(self, sets):
-        ds = sets[(0.1065, 0.2)]
-        g1 = ds.dressed_phase(1, ds.q)
-        g2 = ds.dressed_phase(1, ds.q)
-        assert g1 is g2
+class TestBoundaryPhases:
+    """`boundary_phases`, the adjoint route, against the node route of
+    `oracles.phi` at the Fermi boundaries."""
+
+    # omega on Im 0 and on Im pi/2, at +-q and inside and outside the
+    # segment, and off both lines
+    OMEGAS = [-1.3, -0.05, 0.3, 2.1, 1.0 + 0.5j * pi, -0.4 - 0.5j * pi,
+              0.7 + 0.3j, -2.0 - 0.9j, 0.2 + 1.1j]
+
+    @pytest.mark.parametrize("order", [32, 128])
+    @pytest.mark.parametrize("zeta_frac, q", [(0.4204, 0.45), (0.8633, 1.2)])
+    def test_adjoint_matches_node_route(self, order, zeta_frac, q):
+        ds = solve_dressed_set(ModelParams(J=1.0, zeta=zeta_frac * pi, q=q, order=order))
+        for r, omega in itertools.product([1, 2, 3], self.OMEGAS + [ds.q, -ds.q]):
+            got = ds.boundary_phases(r, omega)
+            for val, end in zip(got, (ds.q, -ds.q)):
+                want = complex(phi(ds, r, end, omega))
+                assert abs(val - want) <= 1e-14 * max(1.0, abs(want)), (r, omega, end)
+
+    def test_free_fermion_driving_term(self, ff):
+        # K = 0 at zeta = pi/2: phi_r(+-q, mu) is its driving term
+        for r, mu in itertools.product([1, 2], [0.1, -0.7, 0.3 + 0.4j]):
+            m_r = string_combinatorics(r, pi / 2).m_r
+            got = ff.boundary_phases(r, mu)
+            for val, end in zip(got, (ff.q, -ff.q)):
+                want = bare_phase(complex(end - mu), r, pi / 2) / (2 * pi) + m_r / 2
+                assert abs(val - want) < 1e-15, (r, mu, end)
+
+    def test_one_transposed_solve_on_first_use(self, monkeypatch):
+        transposed = []
+        solve = NystromLU.solve
+
+        def spy(self, g, transpose=False):
+            transposed.append(transpose)
+            return solve(self, g, transpose)
+
+        monkeypatch.setattr(NystromLU, "solve", spy)
+        ds = solve_dressed_set(ModelParams(J=1.0, zeta=0.4204 * pi, q=0.45, order=32))
+        assert not any(transposed)
+        for r, mu in [(1, ds.q), (1, -ds.q), (2, 0.3), (3, 0.2 + 0.5j * pi)]:
+            ds.boundary_phases(r, mu)
+        assert transposed.count(True) == 1

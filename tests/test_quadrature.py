@@ -155,6 +155,25 @@ class TestFredholm:
             with pytest.raises(SolverError):
                 lu.solve(g)
 
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_transposed_solve(self, n):
+        # a kernel far from symmetric: a residual or a refinement step taken
+        # on A instead of A^T would not pass
+        lu = NystromLU(lambda x, y: 0.4 * np.exp(x - 2 * y) * (1 + x), gauss_legendre(n, -1.0, 1.0))
+        g = np.stack([np.cos(lu.quad.nodes), np.exp(-lu.quad.nodes)], axis=1)
+        f = lu.solve(g, transpose=True)
+        assert np.max(np.abs(lu.a_mat.T @ f - g)) < 1e-14
+        assert np.max(np.abs(f - np.linalg.solve(lu.a_mat.T, g))) < 1e-13
+
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_non_finite_transposed_driving_is_solver_error(self, n):
+        lu = NystromLU(lambda x, y: 0.3 * np.cos(x - 2 * y), gauss_legendre(n, -1.0, 1.0))
+        for bad in (np.nan, np.inf):
+            g = np.ones((n, 2))
+            g[n // 2, 1] = bad
+            with pytest.raises(SolverError):
+                lu.solve(g, transpose=True)
+
     def test_singular_matrix_reported(self):
         # kernel -delta-like rank-one construction making I + KW singular
         with pytest.raises(SolverError):

@@ -4,6 +4,12 @@ from math import pi
 import numpy as np
 import pytest
 
+from oracles import (
+    REFERENCE_TABLE,
+    check_condition_equivalence,
+    reference_diff,
+    reference_lookup,
+)
 from xxzchain.dressed import ModelParams, solve_dressed_set
 from xxzchain.errors import (
     DegenerateAnisotropyError,
@@ -12,16 +18,7 @@ from xxzchain.errors import (
     SignInconsistencyError,
     ValidationError,
 )
-from xxzchain.strings import (
-    REFERENCE_TABLE,
-    StringSpec,
-    catalog,
-    check_condition_equivalence,
-    momentum_sign,
-    reference_diff,
-    reference_lookup,
-    string_exists,
-)
+from xxzchain.strings import StringSpec, catalog, momentum_sign, string_exists
 
 RNG = np.random.default_rng(20240818)
 
